@@ -1,10 +1,9 @@
 """Random access tests and measurement incompatibility in convex state spaces."""
 
 from .core import (
+    Ball,
     Measurement,
     Polytope,
-    Qubit2,
-    Rebit,
     Theory,
     dichotomic_measurement,
     distinguishable,
@@ -20,7 +19,7 @@ from .core import (
     trivial_measurement,
     validate_theory,
 )
-from .errors import InputError, ParseError, UnsupportedBackendError, ValidationError
+from .errors import InputError, ParseError, SolverError, UnsupportedBackendError, ValidationError
 from .io import (
     measurement_from_file,
     parse_measurement_file,

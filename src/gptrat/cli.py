@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 file parse error, 3 validation
-error, 4 I/O error.  Scalar results print with 9 decimal places; structured
+error, 4 I/O error, 5 solver error (the LP solver reached no trustworthy
+verdict).  Scalar results print with 9 decimal places; structured
 results print as JSON with sorted keys, so output is byte-stable across runs.
 """
 
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import InputError, ParseError, ValidationError
+from .errors import InputError, ParseError, SolverError, ValidationError
 from .io import measurement_from_file, theory_from_file
 from .jointness import check_compatible, incompatibility_degree
 from .linalg import EPS
@@ -219,6 +220,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

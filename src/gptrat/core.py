@@ -5,21 +5,24 @@ backend describing the state space.  States and effects are plain float64
 vectors; an effect f is evaluated on a state s by the dot product f . s, and
 validity means 0 <= f(s) <= 1 over the whole state space.
 
-Three backends are supported:
+Two backends are supported, each owning its geometry (the order-unit norm
+with a maximizing state, effect validity, and structural validation):
 
 * Polytope: finitely many extreme states plus the extreme rays of the dual
   cone (each normalized so its maximum over the state space is 1), optionally
   a finite list of nontrivial extreme effects.
-* Rebit: the disc state space {(cos t, sin t, 1)}, with closed-form norms.
-* Qubit2: two-level quantum systems in the Pauli basis (x, y, z, unit), with
-  closed-form norms.
+* Ball(dim): states (w, 1) with |w| <= 1, unit coordinate last; Ball(2) is
+  the disc (rebit) and Ball(3) the Bloch ball (qubit in Pauli coordinates).
+  Norms and validity have closed forms.
 
+Operations that need vertices or dual rays go through require_polytope.
 Validity checks are explicit operations rather than construction-time gates,
 so intentionally invalid objects can be built for negative tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
@@ -46,20 +49,65 @@ class Polytope:
         if self.extreme_effects is not None:
             object.__setattr__(self, "extreme_effects", np.asarray(self.extreme_effects, dtype=float))
 
+    def norm_with_argmax(self, f: EffectVec) -> tuple[float, int]:
+        vals = self.extreme_states @ f
+        idx = int(np.argmax(np.abs(vals)))
+        return float(abs(vals[idx])), idx
+
+    def effects_valid(self, F: np.ndarray, tol: float) -> bool:
+        vals = self.extreme_states @ F.T
+        return bool(vals.min() >= -tol and vals.max() <= 1.0 + tol)
+
+    def validate(self, theory: "Theory", tol: float) -> None:
+        V = self.extreme_states
+        if V.ndim != 2 or V.shape[1] != theory.ambient_dim:
+            raise InputError("extreme states have the wrong shape")
+        unit_vals = V @ theory.unit
+        if np.max(np.abs(unit_vals - 1.0)) > 1e-12:
+            raise InputError("unit must evaluate to 1 on every extreme state")
+        R = self.dual_rays
+        if R.ndim != 2 or R.shape[1] != theory.ambient_dim:
+            raise InputError("dual rays have the wrong shape")
+        vals = V @ R.T  # (N, R)
+        if vals.min() < -tol:
+            raise InputError("a dual ray is negative on an extreme state")
+        if np.max(np.abs(vals.max(axis=0) - 1.0)) > tol:
+            raise InputError("dual rays must be normalized to maximum value 1")
+
 
 @dataclass(frozen=True)
-class Rebit:
-    """Disc state space; angles parametrize pure states (cos t, sin t, 1)."""
+class Ball:
+    """States (w, 1) with |w| <= 1: the disc (dim 2) or the Bloch ball (dim 3).
 
-    grid_resolution: int = 10_000
+    An effect (w, a) has values a + w . v on pure states (v, 1), so its norm
+    is |a| + |w| and it is valid when a - |w| >= 0 and a + |w| <= 1.
+    """
+
+    dim: int
+
+    def __post_init__(self) -> None:
+        if self.dim not in (2, 3):
+            raise InputError("ball backends are the disc (dim 2) and the Bloch ball (dim 3)")
+
+    def norm_with_argmax(self, f: EffectVec) -> tuple[float, np.ndarray]:
+        a = float(f[-1])
+        rho = math.hypot(*f[:-1])
+        if rho == 0.0:
+            return abs(a), np.zeros(self.dim)
+        bloch = f[:-1] / rho if a >= 0 else -f[:-1] / rho
+        return abs(a) + rho, bloch
+
+    def effects_valid(self, F: np.ndarray, tol: float) -> bool:
+        a = F[:, -1]
+        rho = np.linalg.norm(F[:, :-1], axis=1)
+        return bool(np.all(a - rho >= -tol) and np.all(a + rho <= 1.0 + tol))
+
+    def validate(self, theory: "Theory", tol: float) -> None:
+        if theory.ambient_dim != self.dim + 1:
+            raise InputError(f"a {self.dim}-ball lives in a {self.dim + 1}-dimensional ambient space")
 
 
-@dataclass(frozen=True)
-class Qubit2:
-    """Qubit in Pauli coordinates (x, y, z, a) with the unit component last."""
-
-
-Backend = Union[Polytope, Rebit, Qubit2]
+Backend = Union[Polytope, Ball]
 
 
 @dataclass(frozen=True)
@@ -75,14 +123,8 @@ class Theory:
             raise InputError("unit functional has the wrong dimension")
 
     @property
-    def is_polytope(self) -> bool:
-        return isinstance(self.backend, Polytope)
-
-    @property
     def vertices(self) -> np.ndarray:
-        if not isinstance(self.backend, Polytope):
-            raise UnsupportedBackendError(f"{self.name}: no vertex list for this backend")
-        return self.backend.extreme_states
+        return require_polytope(self, "a vertex list").extreme_states
 
 
 @dataclass(frozen=True)
@@ -105,31 +147,16 @@ class Measurement:
         return len(self.outcomes)
 
 
+def require_polytope(theory: Theory, operation: str) -> Polytope:
+    """The theory's Polytope backend; UnsupportedBackendError for any other."""
+    if not isinstance(theory.backend, Polytope):
+        raise UnsupportedBackendError(f"{theory.name}: {operation} needs a polytope state space")
+    return theory.backend
+
+
 def validate_theory(theory: Theory, tol: float = EPS) -> None:
     """Raise InputError unless the theory satisfies its structural invariants."""
-    if isinstance(theory.backend, Polytope):
-        V = theory.backend.extreme_states
-        if V.ndim != 2 or V.shape[1] != theory.ambient_dim:
-            raise InputError("extreme states have the wrong shape")
-        unit_vals = V @ theory.unit
-        if np.max(np.abs(unit_vals - 1.0)) > 1e-12:
-            raise InputError("unit must evaluate to 1 on every extreme state")
-        R = theory.backend.dual_rays
-        if R.ndim != 2 or R.shape[1] != theory.ambient_dim:
-            raise InputError("dual rays have the wrong shape")
-        vals = V @ R.T  # (N, R)
-        if vals.min() < -tol:
-            raise InputError("a dual ray is negative on an extreme state")
-        if np.max(np.abs(vals.max(axis=0) - 1.0)) > tol:
-            raise InputError("dual rays must be normalized to maximum value 1")
-    elif isinstance(theory.backend, Rebit):
-        if theory.ambient_dim != 3:
-            raise InputError("rebit lives in a 3-dimensional ambient space")
-    elif isinstance(theory.backend, Qubit2):
-        if theory.ambient_dim != 4:
-            raise InputError("qubit lives in a 4-dimensional ambient space")
-    else:
-        raise UnsupportedBackendError(f"unknown backend {type(theory.backend).__name__}")
+    theory.backend.validate(theory, tol)
 
 
 def evaluate(effect: EffectVec, state: Vec, theory: Theory, tol: float = EPS) -> float:
@@ -151,36 +178,14 @@ def order_unit_norm(f: EffectVec, theory: Theory) -> float:
 def norm_with_argmax(f: EffectVec, theory: Theory):
     """Order-unit norm together with a maximizing state descriptor.
 
-    The descriptor is a vertex index (Polytope), an angle in [0, 2pi)
-    (Rebit), or a Bloch vector (Qubit2).  Polytope ties resolve to the lowest
-    vertex index.
+    The descriptor is a vertex index (Polytope) or the Bloch vector of a
+    maximizing pure state (Ball; the zero vector when the norm is attained
+    everywhere).  Polytope ties resolve to the lowest vertex index.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (theory.ambient_dim,):
         raise InputError("effect dimension mismatch")
-    backend = theory.backend
-    if isinstance(backend, Polytope):
-        vals = backend.extreme_states @ f
-        idx = int(np.argmax(np.abs(vals)))
-        return float(abs(vals[idx])), idx
-    if isinstance(backend, Rebit):
-        a, b, c = f
-        rho = float(np.hypot(a, b))
-        hi = c + rho  # value at angle atan2(b, a)
-        lo = c - rho
-        theta0 = float(np.arctan2(b, a)) % (2 * np.pi)
-        if abs(hi) >= abs(lo):
-            return abs(hi), theta0
-        return abs(lo), (theta0 + np.pi) % (2 * np.pi)
-    if isinstance(backend, Qubit2):
-        w = f[:3]
-        a = float(f[3])
-        rho = float(np.linalg.norm(w))
-        if rho == 0.0:
-            return abs(a), np.array([0.0, 0.0, 0.0])
-        bloch = w / rho if a >= 0 else -w / rho
-        return max(abs(a + rho), abs(a - rho)), bloch
-    raise UnsupportedBackendError(f"no norm rule for backend {type(backend).__name__}")
+    return theory.backend.norm_with_argmax(f)
 
 
 def is_valid_effect(f: EffectVec, theory: Theory, tol: float = EPS) -> bool:
@@ -188,19 +193,7 @@ def is_valid_effect(f: EffectVec, theory: Theory, tol: float = EPS) -> bool:
     f = np.asarray(f, dtype=float)
     if f.shape != (theory.ambient_dim,):
         raise InputError("effect dimension mismatch")
-    backend = theory.backend
-    if isinstance(backend, Polytope):
-        vals = backend.extreme_states @ f
-        return bool(vals.min() >= -tol and vals.max() <= 1.0 + tol)
-    if isinstance(backend, Rebit):
-        a, b, c = f
-        rho = float(np.hypot(a, b))
-        return c - rho >= -tol and c + rho <= 1.0 + tol
-    if isinstance(backend, Qubit2):
-        rho = float(np.linalg.norm(f[:3]))
-        a = float(f[3])
-        return a - rho >= -tol and a + rho <= 1.0 + tol
-    raise UnsupportedBackendError(f"no effect test for backend {type(backend).__name__}")
+    return theory.backend.effects_valid(f[None, :], tol)
 
 
 def is_valid_measurement(m: Measurement, theory: Theory, tol: float = EPS) -> bool:
@@ -210,7 +203,7 @@ def is_valid_measurement(m: Measurement, theory: Theory, tol: float = EPS) -> bo
     total = m.effects.sum(axis=0)
     if np.max(np.abs(total - theory.unit)) > tol:
         return False
-    return all(is_valid_effect(f, theory, tol) for f in m.effects)
+    return theory.backend.effects_valid(m.effects, tol)
 
 
 def require_valid_measurement(m: Measurement, theory: Theory, tol: float = EPS) -> None:
@@ -278,15 +271,13 @@ def distinguishable(states, theory: Theory, tol: float = EPS) -> bool:
     Feasibility LP over the dual-ray cone: effects e_i = sum_r beta_ir ray_r
     with sum_i e_i = u and e_i(s_j) = delta_ij.
     """
-    if not isinstance(theory.backend, Polytope):
-        raise UnsupportedBackendError("distinguishability test needs a polytope state space")
+    rays = require_polytope(theory, "the distinguishability test").dual_rays
     S = np.asarray(states, dtype=float)
     if S.ndim != 2 or S.shape[1] != theory.ambient_dim:
         raise InputError("states must be rows of ambient dimension")
     n = S.shape[0]
     if n < 2:
         raise InputError("need at least two states")
-    rays = theory.backend.dual_rays
     R = rays.shape[0]
     d = theory.ambient_dim
     nvar = n * R
@@ -311,12 +302,10 @@ def distinguishable(states, theory: Theory, tol: float = EPS) -> bool:
 
 def operational_dimension(theory: Theory) -> int:
     """Largest number of jointly perfectly distinguishable extreme states."""
-    if isinstance(theory.backend, (Rebit, Qubit2)):
+    if isinstance(theory.backend, Ball):
         # antipodal pure states are distinguishable; no third state joins them
         return 2
-    if not isinstance(theory.backend, Polytope):
-        raise UnsupportedBackendError("operational dimension needs a polytope state space")
-    V = theory.backend.extreme_states
+    V = require_polytope(theory, "operational dimension").extreme_states
     n = V.shape[0]
     if n > 16:
         raise InputError("vertex count too large for exhaustive subset search")

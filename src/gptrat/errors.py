@@ -15,3 +15,7 @@ class ParseError(Exception):
 
 class ValidationError(Exception):
     """A parsed object violates a semantic invariant (normalization, positivity, ...)."""
+
+
+class SolverError(RuntimeError):
+    """The LP solver failed to reach a trustworthy verdict."""

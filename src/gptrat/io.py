@@ -10,6 +10,7 @@ stages so callers can distinguish malformed files from invalid objects.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .core import (
     Theory,
     dual_rays_from_vertices,
     is_valid_measurement,
+    require_polytope,
     validate_theory,
 )
 from .errors import InputError, ParseError, ValidationError
@@ -35,16 +37,15 @@ def _matrix_to_str(rows: np.ndarray) -> list[list[str]]:
 
 
 def _parse_number(value, where: str) -> float:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(f"{where}: {value!r} is not a number") from None
-    raise ParseError(f"{where}: expected a number or numeric string")
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ParseError(f"{where}: expected a number or numeric string")
+    try:
+        x = float(value)
+    except (ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ParseError(f"{where}: {value!r} is not a finite number")
+    return x
 
 
 def _parse_matrix(value, where: str) -> np.ndarray:
@@ -85,11 +86,8 @@ class MeasurementFile:
 
 
 def _load_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -149,14 +147,13 @@ def theory_from_file(path, tol: float = EPS) -> Theory:
 
 
 def write_theory(theory: Theory, path) -> None:
-    if not isinstance(theory.backend, Polytope):
-        raise InputError("only polytope theories are serializable")
+    backend = require_polytope(theory, "serialization")
     payload = {
         "name": theory.name,
         "ambient_dim": theory.ambient_dim,
-        "vertices": _matrix_to_str(theory.backend.extreme_states),
+        "vertices": _matrix_to_str(backend.extreme_states),
         "unit": [_num_to_str(x) for x in theory.unit],
-        "dual_rays": _matrix_to_str(theory.backend.dual_rays),
+        "dual_rays": _matrix_to_str(backend.dual_rays),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

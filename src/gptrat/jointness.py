@@ -27,11 +27,11 @@ import numpy as np
 
 from .core import (
     Measurement,
-    Polytope,
     Theory,
+    require_polytope,
     require_valid_measurement,
 )
-from .errors import InputError, UnsupportedBackendError
+from .errors import InputError, SolverError
 from .linalg import EPS, LpProblem, solve_lp
 
 
@@ -74,8 +74,25 @@ def harmonic_smearing_weights(outcome_counts) -> list[float]:
     return [h / (k * c) for c in counts]
 
 
-def _product_tuples(counts):
-    return list(product(*(range(c) for c in counts)))
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2-D arrays (the same products) at a fraction of its
+    call overhead, which dominates on these small blocks."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
+def _joint_lp(counts, rays: np.ndarray):
+    """Marginal operator P and cone block kron(P, rays.T) of the joint LP.
+
+    Joint outcomes are the product tuples in lexicographic order; row
+    (axis i, outcome x) of the 0/1 matrix P selects the tuples with
+    x_i = x, so P @ joint_effects stacks every marginal.  The LP variables
+    are the joint effects' cone coefficients, R per tuple, and the cone
+    block maps them to the stacked marginals.
+    """
+    axes = np.unravel_index(np.arange(prod(counts)), counts)
+    P = np.vstack([x == np.arange(c)[:, None] for x, c in zip(axes, counts)]).astype(float)
+    return P, _kron(P, rays.T)
 
 
 def check_compatible(measurements, theory: Theory, tol: float = EPS) -> JointWitness | None:
@@ -85,95 +102,56 @@ def check_compatible(measurements, theory: Theory, tol: float = EPS) -> JointWit
     constraints force every marginal to reproduce its measurement.  The joint
     then sums to the unit automatically because each marginal does.
     """
-    if not isinstance(theory.backend, Polytope):
-        raise UnsupportedBackendError("compatibility LP needs a polytope state space")
+    rays = require_polytope(theory, "the compatibility LP").dual_rays
     ms = list(measurements)
     if len(ms) < 2:
         raise InputError("need at least two measurements")
     for m in ms:
         require_valid_measurement(m, theory, tol)
     counts = [m.num_outcomes for m in ms]
-    rays = theory.backend.dual_rays
-    R = rays.shape[0]
-    d = theory.ambient_dim
-    tuples = _product_tuples(counts)
-    ntup = len(tuples)
-
-    rows = d * sum(counts)
-    A = np.zeros((rows, ntup * R))
-    b = np.zeros(rows)
-    base = 0
-    for axis, m in enumerate(ms):
-        for outcome in range(counts[axis]):
-            block = slice(base, base + d)
-            for t_idx, combo in enumerate(tuples):
-                if combo[axis] == outcome:
-                    A[block, t_idx * R : (t_idx + 1) * R] = rays.T
-            b[base : base + d] = m.effects[outcome]
-            base += d
-    res = solve_lp(LpProblem(np.zeros(ntup * R), A, b))
+    P, A = _joint_lp(counts, rays)
+    stacked = np.vstack([m.effects for m in ms])
+    res = solve_lp(LpProblem(np.zeros(A.shape[1]), A, stacked.ravel()))
     if res.status != "optimal":
         return None
 
-    beta = res.solution.reshape(ntup, R)
-    joint_effects = beta @ rays
+    joint_effects = res.solution.reshape(P.shape[1], -1) @ rays
     outcomes = tuple(
-        tuple(ms[i].outcomes[x] for i, x in enumerate(combo)) for combo in tuples
+        tuple(ms[i].outcomes[x] for i, x in enumerate(combo))
+        for combo in product(*(range(c) for c in counts))
     )
-    joint = Measurement(outcomes, joint_effects)
-    residuals = []
-    for axis, m in enumerate(ms):
-        worst = 0.0
-        for outcome in range(counts[axis]):
-            marg = sum(
-                joint_effects[t_idx]
-                for t_idx, combo in enumerate(tuples)
-                if combo[axis] == outcome
-            )
-            worst = max(worst, float(np.max(np.abs(marg - m.effects[outcome]))))
-        residuals.append(worst)
-    return JointWitness(joint, tuple(residuals))
+    errors = np.abs(P @ joint_effects - stacked).max(axis=1)
+    bounds = np.cumsum([0] + counts)
+    residuals = tuple(float(errors[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
+    return JointWitness(Measurement(outcomes, joint_effects), residuals)
 
 
-def _degree_feasible(m1, m2, theory, lam):
-    """Joint for (lam M + (1-lam) p u, lam N + (1-lam) q u) with free p, q."""
-    rays = theory.backend.dual_rays
-    R = rays.shape[0]
-    d = theory.ambient_dim
-    u = theory.unit
+def _degree_lp(m1, m2, theory):
+    """Feasibility test in lam: is (lam M + (1-lam) p u, lam N + (1-lam) q u)
+    compatible for some distributions p, q?  Returns lam -> (p, q) or None.
+
+    The joint LP's cone block gains noise columns -(1 - lam) kron(I, u) for
+    p and q and the rows sum p = sum q = 1; everything but lam is assembled
+    once.
+    """
     c1, c2 = m1.num_outcomes, m2.num_outcomes
-    tuples = _product_tuples([c1, c2])
-    nbeta = len(tuples) * R
-    nvar = nbeta + c1 + c2
-    rows = d * (c1 + c2) + 2
-    A = np.zeros((rows, nvar))
-    b = np.zeros(rows)
-    base = 0
-    for x in range(c1):
-        block = slice(base, base + d)
-        for t_idx, (i, _) in enumerate(tuples):
-            if i == x:
-                A[block, t_idx * R : (t_idx + 1) * R] = rays.T
-        A[block, nbeta + x] = -(1.0 - lam) * u
-        b[base : base + d] = lam * m1.effects[x]
-        base += d
-    for y in range(c2):
-        for t_idx, (_, j) in enumerate(tuples):
-            if j == y:
-                A[base : base + d, t_idx * R : (t_idx + 1) * R] = rays.T
-        A[base : base + d, nbeta + c1 + y] = -(1.0 - lam) * u
-        b[base : base + d] = lam * m2.effects[y]
-        base += d
-    A[base, nbeta : nbeta + c1] = 1.0
-    b[base] = 1.0
-    A[base + 1, nbeta + c1 :] = 1.0
-    b[base + 1] = 1.0
-    res = solve_lp(LpProblem(np.zeros(nvar), A, b))
-    if res.status != "optimal":
-        return None
-    p = res.solution[nbeta : nbeta + c1]
-    q = res.solution[nbeta + c1 :]
-    return p, q
+    _, cone = _joint_lp([c1, c2], theory.backend.dual_rays)
+    nbeta = cone.shape[1]
+    unit_noise = _kron(np.eye(c1 + c2), theory.unit[:, None])
+    sums = np.zeros((2, nbeta + c1 + c2))
+    sums[0, nbeta : nbeta + c1] = 1.0
+    sums[1, nbeta + c1 :] = 1.0
+    effects = np.concatenate([m1.effects.ravel(), m2.effects.ravel()])
+
+    def feasible(lam):
+        A = np.vstack([np.hstack([cone, -(1.0 - lam) * unit_noise]), sums])
+        b = np.concatenate([lam * effects, [1.0, 1.0]])
+        res = solve_lp(LpProblem(np.zeros(A.shape[1]), A, b))
+        if res.status != "optimal":
+            return None
+        return res.solution[nbeta : nbeta + c1], res.solution[nbeta + c1 :]
+
+    return feasible
 
 
 def incompatibility_degree(m1: Measurement, m2: Measurement, theory: Theory) -> DegreeReport:
@@ -183,21 +161,21 @@ def incompatibility_degree(m1: Measurement, m2: Measurement, theory: Theory) -> 
     the feasible set is bisected to a bracket below 1e-6 and the lower end is
     returned, so the result never overstates the degree.
     """
-    if not isinstance(theory.backend, Polytope):
-        raise UnsupportedBackendError("incompatibility degree needs a polytope state space")
+    require_polytope(theory, "the incompatibility degree")
     require_valid_measurement(m1, theory)
     require_valid_measurement(m2, theory)
-    exact = _degree_feasible(m1, m2, theory, 1.0)
+    feasible = _degree_lp(m1, m2, theory)
+    exact = feasible(1.0)
     if exact is not None:
         return DegreeReport(1.0, exact, 1)
     lo, hi = 0.5, 1.0
-    trivials = _degree_feasible(m1, m2, theory, lo)
+    trivials = feasible(lo)
     iters = 2
     if trivials is None:
-        raise RuntimeError("uniform-noise mixture at lam = 1/2 must be compatible")
+        raise SolverError("uniform-noise mixture at lam = 1/2 must be compatible")
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        sol = _degree_feasible(m1, m2, theory, mid)
+        sol = feasible(mid)
         iters += 1
         if sol is None:
             hi = mid
@@ -215,13 +193,11 @@ def maximally_incompatible_dichotomic(m1: Measurement, m2: Measurement, theory: 
     and t1 + t3 = t2 + t4 (an affine parallelogram).  Each t_i is searched as
     a convex combination of the vertices lying on the corresponding faces.
     """
-    if not isinstance(theory.backend, Polytope):
-        raise UnsupportedBackendError("needs a polytope state space")
+    V = require_polytope(theory, "the maximal-incompatibility test").extreme_states
     if m1.num_outcomes != 2 or m2.num_outcomes != 2:
         raise InputError("both measurements must be dichotomic")
     require_valid_measurement(m1, theory)
     require_valid_measurement(m2, theory)
-    V = theory.backend.extreme_states
     d = theory.ambient_dim
     e_vals = V @ m1.effects[0]
     f_vals = V @ m2.effects[0]

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, SolverError
 
 # Global tolerance for feasibility and equality decisions.
 EPS = 1e-9
@@ -109,7 +109,7 @@ def _bland(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> str:
         ties = rows[ratios <= best + 1e-12]
         row = ties[np.argmin(basis[ties])]
         _pivot(T, basis, row, col)
-    raise RuntimeError("simplex failed to terminate")
+    raise SolverError("simplex failed to terminate")
 
 
 def solve_lp(problem: LpProblem) -> LpResult:

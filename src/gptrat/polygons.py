@@ -29,17 +29,20 @@ from itertools import product
 import numpy as np
 
 from .core import (
+    Ball,
     Measurement,
-    Polytope,
-    Rebit,
     Theory,
     dichotomic_measurement,
     post_process,
+    require_polytope,
 )
 from .errors import InputError, UnsupportedBackendError
 from .rat import rat_success_given_states
 from .storability import information_storability
 from .zoo import polygon, polygon_effect_label, polygon_order, polygon_ray, polygon_state
+
+# Angles scanned by the disc brute force before golden-section refinement.
+DISC_GRID = 10_000
 
 
 def parity_class(n: int) -> str:
@@ -133,17 +136,17 @@ def brute_force_rat_max(theory: Theory, scan_all_pairs: bool = False) -> BruteFo
     is exact whenever the symmetry group acts transitively on the extreme
     effects modulo complement (true for all stock polygons).  States report
     the per-sum argmax vertex, ties resolved to the lowest index.  On the
-    rebit the angle of the second effect is scanned on the configured grid
-    and refined by golden-section search.
+    disc the angle of the second effect is scanned on a grid of DISC_GRID
+    angles and refined by golden-section search; states are reported as
+    angles.
     """
-    if isinstance(theory.backend, Rebit):
-        return _rebit_brute_force(theory)
-    if not isinstance(theory.backend, Polytope):
-        raise UnsupportedBackendError("brute force needs polytope or rebit backend")
-    E = theory.backend.extreme_effects
+    if theory.backend == Ball(2):
+        return _disc_brute_force()
+    backend = require_polytope(theory, "brute force beyond the disc")
+    E = backend.extreme_effects
     if E is None:
         raise InputError("theory does not carry a finite extreme effect list")
-    V = theory.backend.extreme_states
+    V = backend.extreme_states
     u = theory.unit
     VE = V @ E.T  # (N, K): effect values on vertices
     Vu = V @ u
@@ -175,49 +178,49 @@ def brute_force_rat_max(theory: Theory, scan_all_pairs: bool = False) -> BruteFo
     return BruteForceResult(value, e_label, f_label, states)
 
 
-def _pair_rat_value_rebit(theta: float) -> tuple[float, tuple]:
-    """Success of the pair (e_0, u - e_0), (e_theta, u - e_theta) on the disc.
+def _disc_pair_sums(theta):
+    """First two coordinates (a, b) of the four effect sums of the pair
+    (e_0, u - e_0), (e_theta, u - e_theta) on the disc, in the tuple order
+    (+,+), (-,+), (-,-), (+,-); theta may be an array of angles.
 
-    Each inner supremum of an effect sum (a, b, c) over pure states equals
-    c + hypot(a, b), attained at the angle of (a, b).
+    Every sum has unit coordinate 1, so its supremum over pure states is
+    1 + hypot(a, b), attained at the angle of (a, b).
     """
-    e = 0.5 * np.array([1.0, 0.0, 1.0])
-    f = 0.5 * np.array([math.cos(theta), math.sin(theta), 1.0])
-    u = np.array([0.0, 0.0, 1.0])
-    sums = (e + f, u - e + f, 2.0 * u - e - f, e + u - f)
-    total = 0.0
-    angles = []
-    for g in sums:
-        total += g[2] + math.hypot(g[0], g[1])
-        angles.append(math.atan2(g[1], g[0]) % (2.0 * math.pi))
-    return total / 8.0, tuple(angles)
+    fx = 0.5 * np.cos(theta)
+    fy = 0.5 * np.sin(theta)
+    return np.array([0.5 + fx, fx - 0.5, -0.5 - fx, 0.5 - fx]), np.array([fy, fy, -fy, -fy])
 
 
-def _rebit_brute_force(theory: Theory) -> BruteForceResult:
-    res = theory.backend.grid_resolution
-    thetas = np.linspace(0.0, 2.0 * np.pi, res, endpoint=False)
-    vals = np.array([_pair_rat_value_rebit(t)[0] for t in thetas])
-    i = int(np.argmax(vals))
-    lo = thetas[i] - 2.0 * np.pi / res
-    hi = thetas[i] + 2.0 * np.pi / res
+def _disc_pair_value(theta):
+    a, b = _disc_pair_sums(theta)
+    return (1.0 + np.hypot(a, b)).sum(axis=0) / 8.0
+
+
+def _disc_brute_force() -> BruteForceResult:
+    thetas = np.linspace(0.0, 2.0 * np.pi, DISC_GRID, endpoint=False)
+    # ten chunks keep the temporaries near 100 KiB; peak memory is benchmarked
+    i = int(np.argmax(np.concatenate([_disc_pair_value(t) for t in np.split(thetas, 10)])))
+    lo = thetas[i] - 2.0 * np.pi / DISC_GRID
+    hi = thetas[i] + 2.0 * np.pi / DISC_GRID
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc = _pair_rat_value_rebit(c)[0]
-    fd = _pair_rat_value_rebit(d)[0]
+    fc = _disc_pair_value(c)
+    fd = _disc_pair_value(d)
     for _ in range(80):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = _pair_rat_value_rebit(c)[0]
+            fc = _disc_pair_value(c)
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = _pair_rat_value_rebit(d)[0]
+            fd = _disc_pair_value(d)
     theta = 0.5 * (a + b)
-    value, angles = _pair_rat_value_rebit(theta)
-    return BruteForceResult(value, "e(0)", f"e({theta:.12f})", angles)
+    sa, sb = _disc_pair_sums(theta)
+    angles = tuple(float(x) for x in np.arctan2(sb, sa) % (2.0 * np.pi))
+    return BruteForceResult(float(_disc_pair_value(theta)), "e(0)", f"e({theta:.12f})", angles)
 
 
 # Optimal effect and state labels for e = first extreme effect, one entry per

@@ -8,9 +8,10 @@ extreme rays of the dual cone, which reduces the supremum to one LP:
 
     maximize sum_i alpha_i   subject to   sum_i alpha_i ray_i = u,  alpha >= 0.
 
-When every dual ray takes one common value lam0 at some interior state
-(detected at the vertex centroid), every feasible point of that LP has
-objective 1 / lam0, so the LP is skipped and cross-checked instead.
+The LP is always solved.  When every dual ray takes one common value lam0
+at some interior state (detected at the vertex centroid), every feasible
+point of that LP has objective 1 / lam0; that value is reported and the LP
+optimum is cross-checked against it, which exposes a faulty LP solution.
 """
 
 from __future__ import annotations
@@ -20,16 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    Ball,
     Measurement,
-    Polytope,
-    Qubit2,
-    Rebit,
     Theory,
     operational_dimension,
     order_unit_norm,
+    require_polytope,
     require_valid_measurement,
 )
-from .errors import InputError, UnsupportedBackendError
+from .errors import InputError, SolverError
 from .linalg import EPS, LpProblem, solve_lp
 
 
@@ -48,27 +48,20 @@ def decoding_power(m: Measurement, theory: Theory, tol: float = EPS) -> float:
 
 def information_storability(theory: Theory) -> StorabilityReport:
     """Supremum of decoding power over all measurements of the theory."""
-    backend = theory.backend
-    if isinstance(backend, Rebit):
-        witness = Measurement(
-            ("+", "-"),
-            0.5 * np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]),
-        )
+    if isinstance(theory.backend, Ball):
+        # the sharp measurement along the last axis has two effects of norm 1
+        half_axis = np.zeros(theory.ambient_dim)
+        half_axis[-2] = 0.5
+        effect = half_axis + 0.5 * theory.unit
+        witness = Measurement(("+", "-"), np.vstack([effect, theory.unit - effect]))
         return StorabilityReport(2.0, witness, "closed_form")
-    if isinstance(backend, Qubit2):
-        witness = Measurement(
-            ("+", "-"),
-            np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 0.0, -0.5, 0.5]]),
-        )
-        return StorabilityReport(2.0, witness, "closed_form")
-    if not isinstance(backend, Polytope):
-        raise UnsupportedBackendError(f"no storability rule for {type(backend).__name__}")
 
+    backend = require_polytope(theory, "the storability LP")
     rays = backend.dual_rays
     R = rays.shape[0]
     res = solve_lp(LpProblem(np.ones(R), rays.T, theory.unit))
     if res.status != "optimal":
-        raise RuntimeError(f"storability LP ended {res.status} on {theory.name}")
+        raise SolverError(f"storability LP ended {res.status} on {theory.name}")
     alpha = res.solution
     keep = alpha > 1e-12
     witness = Measurement(
@@ -82,7 +75,7 @@ def information_storability(theory: Theory) -> StorabilityReport:
         lam0 = float(vals.mean())
         value = 1.0 / lam0
         if abs(value - res.value) > EPS:
-            raise RuntimeError(
+            raise SolverError(
                 f"constant-value shortcut ({value}) disagrees with LP ({res.value})"
             )
         return StorabilityReport(value, witness, "constant_lambda0")

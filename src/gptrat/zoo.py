@@ -21,8 +21,8 @@ from itertools import product
 
 import numpy as np
 
-from .core import Polytope, Qubit2, Rebit, Theory
-from .errors import InputError, UnsupportedBackendError
+from .core import Ball, Polytope, Theory, require_polytope
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,7 @@ def polygon(n: int) -> Theory:
 
 
 def polygon_order(theory: Theory) -> int:
-    if not isinstance(theory.backend, Polytope):
-        raise UnsupportedBackendError("not a polygon theory")
-    return theory.backend.extreme_states.shape[0]
+    return require_polytope(theory, "a polygon order").extreme_states.shape[0]
 
 
 def polygon_state(theory: Theory, j: int) -> np.ndarray:
@@ -114,11 +112,9 @@ def hypercube(k: int) -> Theory:
     return Theory(f"hypercube-{k}", k + 1, u, Polytope(states, np.array(rays)))
 
 
-def rebit(grid_resolution: int = 10_000) -> Theory:
+def rebit() -> Theory:
     """Real qubit: disc state space with pure states (cos t, sin t, 1)."""
-    if grid_resolution < 16:
-        raise InputError("grid resolution too small")
-    return Theory("rebit", 3, np.array([0.0, 0.0, 1.0]), Rebit(grid_resolution))
+    return Theory("rebit", 3, np.array([0.0, 0.0, 1.0]), Ball(2))
 
 
 def rebit_state(theta: float) -> np.ndarray:
@@ -132,7 +128,7 @@ def rebit_effect(theta: float) -> np.ndarray:
 
 def qubit2() -> Theory:
     """Qubit in Pauli coordinates: states (x, y, z, 1) with |(x,y,z)| <= 1."""
-    return Theory("qubit2", 4, np.array([0.0, 0.0, 0.0, 1.0]), Qubit2())
+    return Theory("qubit2", 4, np.array([0.0, 0.0, 0.0, 1.0]), Ball(3))
 
 
 def qubit2_state(bloch) -> np.ndarray:

@@ -102,10 +102,10 @@ def test_rebit_norm_matches_grid_scan():
     states = np.column_stack([np.cos(thetas), np.sin(thetas), np.ones_like(thetas)])
     for _ in range(25):
         f = rng.normal(size=3)
-        value, theta = norm_with_argmax(f, t)
+        value, v = norm_with_argmax(f, t)
         scan = np.max(np.abs(states @ f))
         np.testing.assert_allclose(value, scan, atol=1e-8)
-        np.testing.assert_allclose(abs(f @ rebit_state(theta)), value, atol=1e-12)
+        np.testing.assert_allclose(abs(f @ np.append(v, 1.0)), value, atol=1e-12)
 
 
 def test_qubit_norm_matches_sampled_states():
@@ -166,6 +166,21 @@ def test_effect_validity_rebit():
     assert is_valid_effect(np.array([0.25, 0.0, 0.5]), t)
     assert is_valid_effect(0.5 * rebit_effect(1.0), t)
     assert not is_valid_effect(np.array([0.6, 0.0, 0.5]), t)
+
+
+def test_disc_effects_behave_the_same_in_the_bloch_ball():
+    disc, ball = rebit(), qubit2()
+    rng = np.random.default_rng(13)
+    valid = 0
+    for _ in range(200):
+        a, b = rng.uniform(-0.6, 0.6, size=2)
+        c = rng.uniform(-0.2, 1.2)
+        f_disc = np.array([a, b, c])
+        f_ball = np.array([a, b, 0.0, c])
+        assert order_unit_norm(f_disc, disc) == order_unit_norm(f_ball, ball)
+        assert is_valid_effect(f_disc, disc) == is_valid_effect(f_ball, ball)
+        valid += is_valid_effect(f_disc, disc)
+    assert 0 < valid < 200  # both verdicts occur
 
 
 def test_effect_validity_qubit():

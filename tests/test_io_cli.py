@@ -17,7 +17,9 @@ from gptrat import (
     write_measurement,
     write_theory,
 )
+from gptrat import cli
 from gptrat.cli import main
+from gptrat.errors import SolverError
 from gptrat.zoo import hypercube, polygon, polygon_ray
 
 # ------------------------------------------------------------------- files
@@ -255,6 +257,56 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert (
         main(["rat", "--theory", theory_path, "--measurement", str(invalid)]) == 3
     )
+
+
+@pytest.mark.parametrize(
+    "field, index, bad",
+    [
+        ("dual_rays", (0, 0), "nan"),
+        ("unit", (2,), "nan"),
+        ("vertices", (1, 0), "nan"),
+        ("vertices", (0, 1), "-inf"),
+        ("vertices", (2, 2), float("nan")),  # written as the JSON literal NaN
+        ("unit", (0,), float("inf")),  # written as the JSON literal Infinity
+        ("vertices", (3, 0), 10**400),  # an integer too large for a float
+    ],
+    ids=["ray-nan", "unit-nan", "vertex-nan", "vertex-minus-inf", "vertex-NaN", "unit-Infinity", "vertex-huge"],
+)
+def test_non_finite_theory_numbers_are_parse_errors(field, index, bad, tmp_path):
+    _, theory_path, m1_path, m2_path = _square_files(tmp_path)
+    payload = json.loads(open(theory_path).read())
+    target = payload[field]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = bad
+    with open(theory_path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ParseError):
+        parse_theory_file(theory_path)
+    argv = ["compat", "--theory", theory_path, "--measurement", m1_path, "--measurement", m2_path]
+    assert main(argv) == 2
+
+
+def test_non_finite_effect_is_a_parse_error(tmp_path):
+    _, theory_path, m1_path, _ = _square_files(tmp_path)
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"outcomes": ["a", "b"], "effects": [[0, 0, NaN], [0, 0, 1]]}')
+    argv = ["compat", "--theory", theory_path, "--measurement", m1_path, "--measurement", str(bad)]
+    assert main(argv) == 2
+
+
+def test_cli_solver_error_exit_code(tmp_path, capsys, monkeypatch):
+    _, theory_path, m1_path, m2_path = _square_files(tmp_path)
+
+    def failing(*args, **kwargs):
+        raise SolverError("pivot limit reached")
+
+    monkeypatch.setattr(cli, "incompatibility_degree", failing)
+    argv = ["degree", "--theory", theory_path, "--measurement", m1_path, "--measurement", m2_path]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: pivot limit reached")
 
 
 def test_cli_process_level_invocation():

@@ -126,6 +126,41 @@ def test_post_processings_of_common_parent_are_compatible():
     assert max(witness.marginal_residuals) <= 1e-7
 
 
+def _grouping(parent, groups, outcomes):
+    """Deterministic post-processing sending parent outcome j to its group."""
+    nu = np.zeros((parent.num_outcomes, len(groups)))
+    for y, group in enumerate(groups):
+        nu[list(group), y] = 1.0
+    return post_process(parent, nu, outcomes)
+
+
+def test_three_measurements_compatibility_and_witness():
+    t = polygon(6)
+    parent = util.uniform_ray_measurement(t)
+    m1 = _grouping(parent, [(0, 1, 2), (3, 4, 5)], ("+", "-"))
+    m2 = _grouping(parent, [(1, 2, 3), (4, 5, 0)], ("+", "-"))
+    m3 = _grouping(parent, [(0, 1), (2, 3), (4, 5)], ("a", "b", "c"))
+    ms = [m1, m2, m3]
+    witness = check_compatible(ms, t)
+    assert witness is not None
+    assert witness.joint.num_outcomes == 12
+    assert is_valid_measurement(witness.joint, t)
+    assert len(witness.marginal_residuals) == 3
+    for axis, m in enumerate(ms):
+        marginal = np.stack([
+            sum(g for g, labels in zip(witness.joint.effects, witness.joint.outcomes) if labels[axis] == x)
+            for x in m.outcomes
+        ])
+        np.testing.assert_allclose(marginal, m.effects, atol=1e-9)
+
+    # the sharp ray pair (e_2, u - e_2) fits with m1 but not with m2, so
+    # swapping it in for m3 makes the triple incompatible
+    sharp = dichotomic_measurement(t, polygon_ray(t, 2))
+    assert check_compatible([m1, sharp], t) is not None
+    assert check_compatible([m2, sharp], t) is None
+    assert check_compatible([m1, m2, sharp], t) is None
+
+
 def test_harmonic_smearings_are_compatible():
     t = polygon(4)
     m, n = _ray_pair(t, 1, 2)

@@ -5,6 +5,8 @@ import pytest
 
 from gptrat import InputError, rat_success, rat_success_given_states
 from gptrat.polygons import (
+    DISC_GRID,
+    _disc_pair_value,
     brute_force_rat_max,
     odd_polygon_compatible_pair,
     parity_class,
@@ -148,6 +150,22 @@ def test_rebit_brute_force_matches_closed_limit():
         [math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4, 7 * math.pi / 4],
         atol=1e-6,
     )
+
+
+def test_disc_grid_matches_a_scalar_loop():
+    e = 0.5 * np.array([1.0, 0.0, 1.0])
+    u = np.array([0.0, 0.0, 1.0])
+
+    def loop_value(theta):  # sup of each effect sum (a, b, c) is c + hypot(a, b)
+        f = 0.5 * np.array([math.cos(theta), math.sin(theta), 1.0])
+        sums = (e + f, u - e + f, 2.0 * u - e - f, e + u - f)
+        return sum(g[2] + math.hypot(g[0], g[1]) for g in sums) / 8.0
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, DISC_GRID, endpoint=False)
+    loop = np.array([loop_value(t) for t in thetas])
+    grid = _disc_pair_value(thetas)
+    assert int(np.argmax(grid)) == int(np.argmax(loop))
+    np.testing.assert_allclose(grid, loop, rtol=0.0, atol=4 * np.finfo(float).eps)
 
 
 # --------------------------------------------------------- compatible pairs
