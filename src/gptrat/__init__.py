@@ -22,8 +22,6 @@ from .core import (
 from .errors import InputError, ParseError, SolverError, UnsupportedBackendError, ValidationError
 from .io import (
     measurement_from_file,
-    parse_measurement_file,
-    parse_theory_file,
     theory_from_file,
     write_measurement,
     write_theory,

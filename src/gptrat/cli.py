@@ -15,7 +15,6 @@ import sys
 from .errors import InputError, ParseError, SolverError, ValidationError
 from .io import measurement_from_file, theory_from_file
 from .jointness import check_compatible, incompatibility_degree
-from .linalg import EPS
 from .polygons import (
     parity_class,
     polygon_compatible_max,
@@ -39,12 +38,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gptrat", description=__doc__)
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=EPS,
-        help="validation tolerance for file-loaded objects (default 1e-9)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_poly = sub.add_parser("polygon", help="closed-form quantities of the regular n-gon")
@@ -109,10 +102,10 @@ def cmd_polygon(args) -> int:
 
 
 def _load_pair(args, expected=None):
-    theory = theory_from_file(args.theory, args.tolerance)
+    theory = theory_from_file(args.theory)
     if expected is not None and len(args.measurement) != expected:
         raise _UsageError(f"expected exactly {expected} --measurement arguments")
-    ms = [measurement_from_file(p, theory, args.tolerance) for p in args.measurement]
+    ms = [measurement_from_file(p, theory) for p in args.measurement]
     return theory, ms
 
 
@@ -155,9 +148,7 @@ def cmd_rat(args) -> int:
 
 def cmd_compat(args) -> int:
     theory, ms = _load_pair(args)
-    if len(ms) < 2:
-        raise _UsageError("need at least two --measurement arguments")
-    witness = check_compatible(ms, theory, args.tolerance)
+    witness = check_compatible(ms, theory)
     if witness is None:
         payload = {"compatible": False}
     else:
@@ -199,9 +190,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    if args.tolerance <= 0:
-        print("usage error: --tolerance must be positive", file=sys.stderr)
         return 1
     try:
         return args.func(args)

@@ -17,7 +17,8 @@ with a maximizing state, effect validity, and structural validation):
 
 Operations that need vertices or dual rays go through require_polytope.
 Validity checks are explicit operations rather than construction-time gates,
-so intentionally invalid objects can be built for negative tests.
+so intentionally invalid objects can be built for negative tests.  Every
+validity decision uses linalg.EPS.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError, UnsupportedBackendError
-from .linalg import EPS, LpProblem, solve_lp, enumerate_facets
+from .linalg import EPS, LpProblem, enumerate_facets, kron, solve_lp
 
 Vec = np.ndarray
 EffectVec = np.ndarray
@@ -54,11 +55,11 @@ class Polytope:
         idx = int(np.argmax(np.abs(vals)))
         return float(abs(vals[idx])), idx
 
-    def effects_valid(self, F: np.ndarray, tol: float) -> bool:
+    def effects_valid(self, F: np.ndarray) -> bool:
         vals = self.extreme_states @ F.T
-        return bool(vals.min() >= -tol and vals.max() <= 1.0 + tol)
+        return bool(vals.min() >= -EPS and vals.max() <= 1.0 + EPS)
 
-    def validate(self, theory: "Theory", tol: float) -> None:
+    def validate(self, theory: "Theory") -> None:
         V = self.extreme_states
         if V.ndim != 2 or V.shape[1] != theory.ambient_dim:
             raise InputError("extreme states have the wrong shape")
@@ -69,9 +70,9 @@ class Polytope:
         if R.ndim != 2 or R.shape[1] != theory.ambient_dim:
             raise InputError("dual rays have the wrong shape")
         vals = V @ R.T  # (N, R)
-        if vals.min() < -tol:
+        if vals.min() < -EPS:
             raise InputError("a dual ray is negative on an extreme state")
-        if np.max(np.abs(vals.max(axis=0) - 1.0)) > tol:
+        if np.max(np.abs(vals.max(axis=0) - 1.0)) > EPS:
             raise InputError("dual rays must be normalized to maximum value 1")
 
 
@@ -97,12 +98,12 @@ class Ball:
         bloch = f[:-1] / rho if a >= 0 else -f[:-1] / rho
         return abs(a) + rho, bloch
 
-    def effects_valid(self, F: np.ndarray, tol: float) -> bool:
+    def effects_valid(self, F: np.ndarray) -> bool:
         a = F[:, -1]
         rho = np.linalg.norm(F[:, :-1], axis=1)
-        return bool(np.all(a - rho >= -tol) and np.all(a + rho <= 1.0 + tol))
+        return bool(np.all(a - rho >= -EPS) and np.all(a + rho <= 1.0 + EPS))
 
-    def validate(self, theory: "Theory", tol: float) -> None:
+    def validate(self, theory: "Theory") -> None:
         if theory.ambient_dim != self.dim + 1:
             raise InputError(f"a {self.dim}-ball lives in a {self.dim + 1}-dimensional ambient space")
 
@@ -154,18 +155,18 @@ def require_polytope(theory: Theory, operation: str) -> Polytope:
     return theory.backend
 
 
-def validate_theory(theory: Theory, tol: float = EPS) -> None:
+def validate_theory(theory: Theory) -> None:
     """Raise InputError unless the theory satisfies its structural invariants."""
-    theory.backend.validate(theory, tol)
+    theory.backend.validate(theory)
 
 
-def evaluate(effect: EffectVec, state: Vec, theory: Theory, tol: float = EPS) -> float:
+def evaluate(effect: EffectVec, state: Vec, theory: Theory) -> float:
     """Outcome probability f(s).  The state must be normalized: unit(s) = 1."""
     f = np.asarray(effect, dtype=float)
     s = np.asarray(state, dtype=float)
     if f.shape != (theory.ambient_dim,) or s.shape != (theory.ambient_dim,):
         raise InputError("effect/state dimension mismatch")
-    if abs(float(theory.unit @ s) - 1.0) > tol:
+    if abs(float(theory.unit @ s) - 1.0) > EPS:
         raise InputError("state is not normalized: unit(s) != 1")
     return float(f @ s)
 
@@ -188,26 +189,26 @@ def norm_with_argmax(f: EffectVec, theory: Theory):
     return theory.backend.norm_with_argmax(f)
 
 
-def is_valid_effect(f: EffectVec, theory: Theory, tol: float = EPS) -> bool:
-    """True when 0 <= f(s) <= 1 over the whole state space (within tol)."""
+def is_valid_effect(f: EffectVec, theory: Theory) -> bool:
+    """True when 0 <= f(s) <= 1 over the whole state space (within EPS)."""
     f = np.asarray(f, dtype=float)
     if f.shape != (theory.ambient_dim,):
         raise InputError("effect dimension mismatch")
-    return theory.backend.effects_valid(f[None, :], tol)
+    return theory.backend.effects_valid(f[None, :])
 
 
-def is_valid_measurement(m: Measurement, theory: Theory, tol: float = EPS) -> bool:
-    """All effects valid and summing to the unit within tol per coordinate."""
+def is_valid_measurement(m: Measurement, theory: Theory) -> bool:
+    """All effects valid and summing to the unit within EPS per coordinate."""
     if m.effects.shape[1] != theory.ambient_dim:
         raise InputError("measurement dimension mismatch")
     total = m.effects.sum(axis=0)
-    if np.max(np.abs(total - theory.unit)) > tol:
+    if np.max(np.abs(total - theory.unit)) > EPS:
         return False
-    return theory.backend.effects_valid(m.effects, tol)
+    return theory.backend.effects_valid(m.effects)
 
 
-def require_valid_measurement(m: Measurement, theory: Theory, tol: float = EPS) -> None:
-    if not is_valid_measurement(m, theory, tol):
+def require_valid_measurement(m: Measurement, theory: Theory) -> None:
+    if not is_valid_measurement(m, theory):
         raise InputError("not a valid measurement on this theory")
 
 
@@ -265,7 +266,7 @@ def mix(measurements, weights) -> Measurement:
     return Measurement(outcomes, effects)
 
 
-def distinguishable(states, theory: Theory, tol: float = EPS) -> bool:
+def distinguishable(states, theory: Theory) -> bool:
     """Can a single measurement identify each of the given states perfectly?
 
     Feasibility LP over the dual-ray cone: effects e_i = sum_r beta_ir ray_r
@@ -278,25 +279,10 @@ def distinguishable(states, theory: Theory, tol: float = EPS) -> bool:
     n = S.shape[0]
     if n < 2:
         raise InputError("need at least two states")
-    R = rays.shape[0]
-    d = theory.ambient_dim
-    nvar = n * R
-    rows = d + n * n
-    A = np.zeros((rows, nvar))
-    b = np.zeros(rows)
-    # sum of all effects equals the unit
-    for i in range(n):
-        A[:d, i * R : (i + 1) * R] = rays.T
-    b[:d] = theory.unit
-    # delta pattern on the target states
-    vals = rays @ S.T  # (R, n): ray_r evaluated on s_j
-    row = d
-    for i in range(n):
-        for j in range(n):
-            A[row, i * R : (i + 1) * R] = vals[:, j]
-            b[row] = 1.0 if i == j else 0.0
-            row += 1
-    res = solve_lp(LpProblem(np.zeros(nvar), A, b))
+    # rows: the effects sum to the unit, then e_i(s_j) for i, j in row-major order
+    A = np.vstack([kron(np.ones((1, n)), rays.T), kron(np.eye(n), (rays @ S.T).T)])
+    b = np.concatenate([theory.unit, np.eye(n).ravel()])
+    res = solve_lp(LpProblem(np.zeros(A.shape[1]), A, b))
     return res.status == "optimal"
 
 
@@ -324,7 +310,7 @@ def operational_dimension(theory: Theory) -> int:
     return best
 
 
-def dual_rays_from_vertices(vertices: np.ndarray, unit: np.ndarray, tol: float = EPS) -> np.ndarray:
+def dual_rays_from_vertices(vertices: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Extreme rays of the dual cone of a polytope state space.
 
     Each facet of the state polytope yields the functional
@@ -333,13 +319,13 @@ def dual_rays_from_vertices(vertices: np.ndarray, unit: np.ndarray, tol: float =
     """
     V = np.asarray(vertices, dtype=float)
     u = np.asarray(unit, dtype=float)
-    if np.max(np.abs(V @ u - 1.0)) > tol:
+    if np.max(np.abs(V @ u - 1.0)) > EPS:
         raise InputError("unit must evaluate to 1 on every vertex")
     rays = []
-    for facet in enumerate_facets(V, tol):
+    for facet in enumerate_facets(V):
         r = facet.offset * u - facet.normal
         top = float((V @ r).max())
-        if top <= tol:
+        if top <= EPS:
             continue  # functional vanishes on the whole polytope
         rays.append(r / top)
     return np.array(rays)

@@ -3,15 +3,15 @@
 Coordinates are written as decimal strings with 17 significant digits, which
 round-trips float64 exactly.  A theory file stores the vertex list, the unit
 functional, and optionally the dual rays; when the rays are absent they are
-recovered by facet enumeration.  Parsing and semantic validation are separate
-stages so callers can distinguish malformed files from invalid objects.
+recovered by facet enumeration.  Each loader parses and validates in one
+pass, and still tells the two failures apart: a malformed file raises
+ParseError before any semantic check can raise ValidationError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,21 +70,6 @@ def _parse_vector(value, where: str) -> np.ndarray:
     return np.array([_parse_number(x, f"{where}[{j}]") for j, x in enumerate(value)])
 
 
-@dataclass(frozen=True)
-class TheoryFile:
-    name: str
-    ambient_dim: int
-    vertices: np.ndarray
-    unit: np.ndarray
-    dual_rays: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class MeasurementFile:
-    outcomes: tuple
-    effects: np.ndarray
-
-
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -97,7 +82,8 @@ def _load_json(path) -> dict:
     return data
 
 
-def parse_theory_file(path) -> TheoryFile:
+def theory_from_file(path) -> Theory:
+    """Load, complete (rays via facet enumeration if needed), and validate."""
     data = _load_json(path)
     for key in ("name", "ambient_dim", "vertices", "unit"):
         if key not in data:
@@ -119,28 +105,23 @@ def parse_theory_file(path) -> TheoryFile:
         rays = _parse_matrix(data["dual_rays"], f"{path}: dual_rays")
         if rays.shape[1] != dim:
             raise ParseError(f"{path}: dual_rays have {rays.shape[1]} coordinates, expected {dim}")
-    return TheoryFile(name, dim, vertices, unit, rays)
 
-
-def theory_from_file(path, tol: float = EPS) -> Theory:
-    """Load, complete (rays via facet enumeration if needed), and validate."""
-    tf = parse_theory_file(path)
     try:
-        if tf.dual_rays is None:
-            rays = dual_rays_from_vertices(tf.vertices, tf.unit, tol)
+        if rays is None:
+            rays = dual_rays_from_vertices(vertices, unit)
         else:
-            vals = tf.vertices @ tf.dual_rays.T
+            vals = vertices @ rays.T
             tops = vals.max(axis=0)
-            if vals.min() < -tol:
+            if vals.min() < -EPS:
                 raise InputError("a dual ray is negative on a vertex")
-            if tops.min() <= tol:
+            if tops.min() <= EPS:
                 raise InputError("a dual ray vanishes on the whole state space")
             # rescale only rays that are visibly unnormalized, so writing and
             # re-reading a normalized theory preserves the exact bits
             scale = np.where(np.abs(tops - 1.0) <= 1e-12, 1.0, tops)
-            rays = tf.dual_rays / scale[:, None]
-        theory = Theory(tf.name, tf.ambient_dim, tf.unit, Polytope(tf.vertices, rays))
-        validate_theory(theory, tol)
+            rays = rays / scale[:, None]
+        theory = Theory(name, dim, unit, Polytope(vertices, rays))
+        validate_theory(theory)
     except InputError as exc:
         raise ValidationError(str(exc)) from None
     return theory
@@ -160,7 +141,8 @@ def write_theory(theory: Theory, path) -> None:
         fh.write("\n")
 
 
-def parse_measurement_file(path) -> MeasurementFile:
+def measurement_from_file(path, theory: Theory) -> Measurement:
+    """Load a measurement and validate it against the theory."""
     data = _load_json(path)
     for key in ("outcomes", "effects"):
         if key not in data:
@@ -176,19 +158,14 @@ def parse_measurement_file(path) -> MeasurementFile:
         raise ParseError(
             f"{path}: {len(outcomes)} outcomes but {effects.shape[0]} effect rows"
         )
-    return MeasurementFile(tuple(outcomes), effects)
 
-
-def measurement_from_file(path, theory: Theory, tol: float = EPS) -> Measurement:
-    """Load a measurement and validate it against the theory."""
-    mf = parse_measurement_file(path)
-    if mf.effects.shape[1] != theory.ambient_dim:
+    if effects.shape[1] != theory.ambient_dim:
         raise ValidationError(
-            f"{path}: effects have {mf.effects.shape[1]} coordinates, "
+            f"{path}: effects have {effects.shape[1]} coordinates, "
             f"theory needs {theory.ambient_dim}"
         )
-    m = Measurement(mf.outcomes, mf.effects)
-    if not is_valid_measurement(m, theory, tol):
+    m = Measurement(tuple(outcomes), effects)
+    if not is_valid_measurement(m, theory):
         raise ValidationError(f"{path}: effects are not a valid measurement on {theory.name}")
     return m
 

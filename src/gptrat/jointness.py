@@ -32,7 +32,7 @@ from .core import (
     require_valid_measurement,
 )
 from .errors import InputError, SolverError
-from .linalg import EPS, LpProblem, solve_lp
+from .linalg import EPS, LpProblem, kron, solve_lp
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,6 @@ def harmonic_smearing_weights(outcome_counts) -> list[float]:
     return [h / (k * c) for c in counts]
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 2-D arrays (the same products) at a fraction of its
-    call overhead, which dominates on these small blocks."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-
-
 def _joint_lp(counts, rays: np.ndarray):
     """Marginal operator P and cone block kron(P, rays.T) of the joint LP.
 
@@ -92,10 +85,10 @@ def _joint_lp(counts, rays: np.ndarray):
     """
     axes = np.unravel_index(np.arange(prod(counts)), counts)
     P = np.vstack([x == np.arange(c)[:, None] for x, c in zip(axes, counts)]).astype(float)
-    return P, _kron(P, rays.T)
+    return P, kron(P, rays.T)
 
 
-def check_compatible(measurements, theory: Theory, tol: float = EPS) -> JointWitness | None:
+def check_compatible(measurements, theory: Theory) -> JointWitness | None:
     """Exact joint measurement via LP, or None when provably incompatible.
 
     Variables are cone coefficients of the joint effects over the dual rays;
@@ -107,7 +100,7 @@ def check_compatible(measurements, theory: Theory, tol: float = EPS) -> JointWit
     if len(ms) < 2:
         raise InputError("need at least two measurements")
     for m in ms:
-        require_valid_measurement(m, theory, tol)
+        require_valid_measurement(m, theory)
     counts = [m.num_outcomes for m in ms]
     P, A = _joint_lp(counts, rays)
     stacked = np.vstack([m.effects for m in ms])
@@ -116,10 +109,7 @@ def check_compatible(measurements, theory: Theory, tol: float = EPS) -> JointWit
         return None
 
     joint_effects = res.solution.reshape(P.shape[1], -1) @ rays
-    outcomes = tuple(
-        tuple(ms[i].outcomes[x] for i, x in enumerate(combo))
-        for combo in product(*(range(c) for c in counts))
-    )
+    outcomes = tuple(product(*(m.outcomes for m in ms)))
     errors = np.abs(P @ joint_effects - stacked).max(axis=1)
     bounds = np.cumsum([0] + counts)
     residuals = tuple(float(errors[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
@@ -137,7 +127,7 @@ def _degree_lp(m1, m2, theory):
     c1, c2 = m1.num_outcomes, m2.num_outcomes
     _, cone = _joint_lp([c1, c2], theory.backend.dual_rays)
     nbeta = cone.shape[1]
-    unit_noise = _kron(np.eye(c1 + c2), theory.unit[:, None])
+    unit_noise = kron(np.eye(c1 + c2), theory.unit[:, None])
     sums = np.zeros((2, nbeta + c1 + c2))
     sums[0, nbeta : nbeta + c1] = 1.0
     sums[1, nbeta + c1 :] = 1.0

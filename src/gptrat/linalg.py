@@ -59,6 +59,13 @@ class LpProblem:
         object.__setattr__(self, "nonneg", nn)
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2-D arrays (the same products) at a fraction of its
+    call overhead, which dominates on the small LP blocks built here."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 @dataclass(frozen=True)
 class LpResult:
     """Outcome of solve_lp.
@@ -207,7 +214,7 @@ class Facet:
     incident_vertices: tuple[int, ...]
 
 
-def enumerate_facets(vertices: np.ndarray, tol: float = EPS) -> list[Facet]:
+def enumerate_facets(vertices: np.ndarray) -> list[Facet]:
     """Enumerate the facets of conv(vertices) by exhaustive hyperplane search.
 
     Works inside the affine hull of the input, so lower-dimensional polytopes
@@ -227,7 +234,7 @@ def enumerate_facets(vertices: np.ndarray, tol: float = EPS) -> list[Facet]:
     M = V - centroid
     _, svals, Vt = np.linalg.svd(M, full_matrices=False)
     scale = max(1.0, float(svals[0]) if svals.size else 0.0)
-    k = int(np.sum(svals > tol * scale))
+    k = int(np.sum(svals > EPS * scale))
     if k == 0:
         raise InputError("degenerate vertex set: all points coincide")
     B = Vt[:k].T  # ambient basis of the direction space, shape (d, k)
@@ -242,18 +249,18 @@ def enumerate_facets(vertices: np.ndarray, tol: float = EPS) -> list[Facet]:
         else:
             D = P[1:] - P[0]
             _, s2, vt2 = np.linalg.svd(D)
-            if s2[-1] <= tol * max(1.0, s2[0]):
+            if s2[-1] <= EPS * max(1.0, s2[0]):
                 continue  # affinely dependent subset
             w = vt2[-1]
             beta = float(P[0] @ w)
         vals = L @ w - beta
-        if np.all(vals <= tol):
+        if np.all(vals <= EPS):
             pass
-        elif np.all(vals >= -tol):
+        elif np.all(vals >= -EPS):
             w, beta, vals = -w, -beta, -vals
         else:
             continue  # not a supporting hyperplane
-        incident = tuple(np.nonzero(np.abs(vals) <= tol)[0])
+        incident = tuple(np.nonzero(np.abs(vals) <= EPS)[0])
         if len(incident) == N:
             continue  # not a proper face
         if incident not in found:

@@ -40,9 +40,9 @@ class StorabilityReport:
     method: str  # "lp", "constant_lambda0", or "closed_form"
 
 
-def decoding_power(m: Measurement, theory: Theory, tol: float = EPS) -> float:
+def decoding_power(m: Measurement, theory: Theory) -> float:
     """sum_x ||M_x||; monotone under post-processing and mixing."""
-    require_valid_measurement(m, theory, tol)
+    require_valid_measurement(m, theory)
     return float(sum(order_unit_norm(f, theory) for f in m.effects))
 
 

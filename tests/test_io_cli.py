@@ -1,17 +1,19 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gptrat import (
     InputError,
+    Measurement,
     ParseError,
     ValidationError,
     dichotomic_measurement,
+    incompatibility_degree,
     measurement_from_file,
-    parse_theory_file,
     theory_from_file,
     trivial_measurement,
     write_measurement,
@@ -96,7 +98,7 @@ def test_malformed_theory_files(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(ParseError):
-        parse_theory_file(path) if text.startswith("{") else theory_from_file(path)
+        theory_from_file(path)
 
 
 def test_semantically_invalid_theory_file(tmp_path):
@@ -223,6 +225,29 @@ def test_cli_degree(tmp_path, capsys):
     assert code == 1
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# HiGHS's degree of the sharp pair on polygon(40), the least-noise value; a
+# rotation of the theory leaves it unchanged.
+POLYGON40_SHARP_DEGREE = 0.92704034273173
+
+
+@pytest.mark.parametrize("seed", [108, 201])
+def test_degree_accuracy_on_rotated_polygon40(seed, capsys):
+    # rotated polygon(40) and a sharp pair, as the file_queries benchmark
+    # workload writes them (seed 108 pass 0, seed 201 pass 3)
+    theory_path = str(FIXTURES / f"polygon40-seed{seed}-rays.json")
+    m_paths = [str(FIXTURES / f"polygon40-seed{seed}-sharp-m{i}.json") for i in (1, 2)]
+    t = theory_from_file(theory_path)
+    m1, m2 = (measurement_from_file(p, t) for p in m_paths)
+    lo, hi = POLYGON40_SHARP_DEGREE - 2e-6, POLYGON40_SHARP_DEGREE + 1e-9
+    assert lo <= incompatibility_degree(m1, m2, t).degree <= hi
+
+    argv = ["degree", "--theory", theory_path] + [a for p in m_paths for a in ("--measurement", p)]
+    assert main(argv) == 0
+    assert lo <= json.loads(capsys.readouterr().out)["degree"] <= hi
+
+
 def test_cli_sweep(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     assert main(["sweep", "--min", "4", "--max", "8", "--out", str(out_path)]) == 0
@@ -237,7 +262,6 @@ def test_cli_sweep(tmp_path, capsys):
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["polygon", "3", "rat-max"]) == 1  # closed form starts at n = 4
     assert main(["polygon", "2", "lmax"]) == 1
-    assert main(["--tolerance", "-1", "polygon", "5", "lmax"]) == 1
     assert main(["no-such-command"]) == 1
 
     missing = str(tmp_path / "missing.json")
@@ -257,6 +281,19 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert (
         main(["rat", "--theory", theory_path, "--measurement", str(invalid)]) == 3
     )
+
+
+def test_file_subcommands_give_one_verdict_on_one_file(tmp_path, capsys):
+    t, theory_path, _, m2_path = _square_files(tmp_path)
+    m = dichotomic_measurement(t, polygon_ray(t, 1))
+    effects = m.effects.copy()
+    effects[0, 2] += 3e-7  # the effects sum to 3e-7 off the unit
+    off_path = str(tmp_path / "off.json")
+    write_measurement(Measurement(m.outcomes, effects), off_path)
+    for cmd in ("rat", "compat", "degree"):
+        argv = [cmd, "--theory", theory_path, "--measurement", off_path, "--measurement", m2_path]
+        assert main(argv) == 3
+        assert main(["--tolerance", "1e-6"] + argv) == 1  # no option loosens the gate
 
 
 @pytest.mark.parametrize(
@@ -282,7 +319,7 @@ def test_non_finite_theory_numbers_are_parse_errors(field, index, bad, tmp_path)
     with open(theory_path, "w") as fh:
         json.dump(payload, fh)
     with pytest.raises(ParseError):
-        parse_theory_file(theory_path)
+        theory_from_file(theory_path)
     argv = ["compat", "--theory", theory_path, "--measurement", m1_path, "--measurement", m2_path]
     assert main(argv) == 2
 
