@@ -31,7 +31,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError, UnsupportedBackendError
-from .linalg import EPS, LpProblem, enumerate_facets, kron, solve_lp
+from .linalg import EPS, LpProblem, enumerate_facets, solve_lp
 
 Vec = np.ndarray
 EffectVec = np.ndarray
@@ -61,6 +61,9 @@ class Polytope:
 
     def validate(self, theory: "Theory") -> None:
         V = self.extreme_states
+        # NaN fails every comparison below, so it would pass them all
+        if not (np.isfinite(V).all() and np.isfinite(self.dual_rays).all() and np.isfinite(theory.unit).all()):
+            raise InputError("extreme states, dual rays and unit must be finite")
         if V.ndim != 2 or V.shape[1] != theory.ambient_dim:
             raise InputError("extreme states have the wrong shape")
         unit_vals = V @ theory.unit
@@ -269,8 +272,18 @@ def mix(measurements, weights) -> Measurement:
 def distinguishable(states, theory: Theory) -> bool:
     """Can a single measurement identify each of the given states perfectly?
 
-    Feasibility LP over the dual-ray cone: effects e_i = sum_r beta_ir ray_r
-    with sum_i e_i = u and e_i(s_j) = delta_ij.
+    Zero-pattern test.  If effects e_1..e_k distinguish s_1..s_k, each e_i
+    vanishes on every s_j with j != i.  Effects are nonnegative combinations
+    of dual rays, and rays are nonnegative on states, so e_i uses only rays
+    in Z_i, the rays that vanish on every other target.  Conversely, if
+    u = sum_i e_i with each e_i in cone(Z_i), then e_i(s_i) = u(s_i) = 1.
+    So the test is exactly "u in sum_i cone(Z_i)", the cone of the union of
+    the Z_i: False with no LP when some Z_i is empty, otherwise one
+    feasibility LP with d rows and one column per ray in the union.  Rays
+    are max-normalized over the states, so "vanishes" is |r(s)| <= EPS.
+
+    The argument needs every target to be a state (u(s) = 1 and every ray
+    nonnegative on it, within EPS); any other target is an InputError.
     """
     rays = require_polytope(theory, "the distinguishability test").dual_rays
     S = np.asarray(states, dtype=float)
@@ -279,15 +292,33 @@ def distinguishable(states, theory: Theory) -> bool:
     n = S.shape[0]
     if n < 2:
         raise InputError("need at least two states")
-    # rows: the effects sum to the unit, then e_i(s_j) for i, j in row-major order
-    A = np.vstack([kron(np.ones((1, n)), rays.T), kron(np.eye(n), (rays @ S.T).T)])
-    b = np.concatenate([theory.unit, np.eye(n).ravel()])
-    res = solve_lp(LpProblem(np.zeros(A.shape[1]), A, b))
+    # a NaN would fail every zero test below and drop out silently
+    if not (np.isfinite(S).all() and np.isfinite(rays).all()):
+        raise InputError("states and dual rays must be finite")
+    vals = S @ rays.T  # (n, R): r(s_j)
+    if np.max(np.abs(S @ theory.unit - 1.0)) > EPS or vals.min() < -EPS:
+        raise InputError("every target must be a normalized state of the theory")
+    zero = np.abs(vals) <= EPS
+    # in_Z[i, r]: ray r vanishes on every target other than s_i
+    in_Z = (zero.sum(axis=0)[None, :] - zero) == n - 1
+    if not in_Z.any(axis=1).all():
+        return False
+    A = rays[in_Z.any(axis=0)].T
+    res = solve_lp(LpProblem(np.zeros(A.shape[1]), A, theory.unit))
     return res.status == "optimal"
 
 
 def operational_dimension(theory: Theory) -> int:
-    """Largest number of jointly perfectly distinguishable extreme states."""
+    """Largest number of jointly perfectly distinguishable extreme states.
+
+    Grows k from 2 and stops at the first k with no distinguishable
+    k-subset of the vertices (dropping a state from a distinguishable set
+    and merging its effect into another leaves a distinguishable set).
+    Each subset goes through distinguishable's zero-pattern test: a subset
+    where some e_i would have no ray vanishing on all the other targets,
+    which is most subsets of a polygon or hypercube, is ruled out without
+    an LP, and every other subset costs one LP with d rows.
+    """
     if isinstance(theory.backend, Ball):
         # antipodal pure states are distinguishable; no third state joins them
         return 2

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import util
 from gptrat import (
     InputError,
     Measurement,
@@ -25,6 +27,8 @@ from gptrat import (
     trivial_measurement,
     validate_theory,
 )
+from gptrat.io import theory_from_file
+from gptrat.linalg import LpProblem, kron, solve_lp
 from gptrat.zoo import (
     hypercube,
     polygon,
@@ -40,6 +44,7 @@ from gptrat.zoo import (
 )
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # ---------------------------------------------------------------- evaluation
@@ -275,6 +280,64 @@ def test_distinguishable_simplex_full_set():
     assert distinguishable(list(t.vertices), t)
 
 
+def _distinguishable_full_lp(states, theory) -> bool:
+    """Reference for the zero-pattern test: the full feasibility LP over the
+    dual-ray cone, e_i = sum_r beta_ir ray_r with sum_i e_i = u and
+    e_i(s_j) = delta_ij (d + k^2 rows, k R columns)."""
+    rays = theory.backend.dual_rays
+    S = np.asarray(states, dtype=float)
+    n = S.shape[0]
+    A = np.vstack([kron(np.ones((1, n)), rays.T), kron(np.eye(n), (rays @ S.T).T)])
+    b = np.concatenate([theory.unit, np.eye(n).ravel()])
+    return solve_lp(LpProblem(np.zeros(A.shape[1]), A, b)).status == "optimal"
+
+
+def test_distinguishable_agrees_with_full_lp():
+    rng = np.random.default_rng(2021)
+    stock = (
+        [polygon(n) for n in range(3, 17)]
+        + [hypercube(k) for k in (2, 3, 4)]
+        + [simplex(d) for d in range(2, 7)]
+    )
+    verdicts = []
+    for _ in range(14):
+        for base in stock:
+            t = util.rotated(base, rng)
+            V = t.vertices
+            k = int(rng.integers(2, min(5, V.shape[0]) + 1))
+            S = V[rng.choice(V.shape[0], k, replace=False)]
+            if rng.random() < 0.3:
+                i = int(rng.integers(k))
+                S[i] += rng.uniform(0.05, 0.5) * (V.mean(axis=0) - S[i])
+            verdict = distinguishable(S, t)
+            assert verdict == _distinguishable_full_lp(S, t), (t.name, S)
+            verdicts.append(verdict)
+    assert len(verdicts) >= 300
+    assert 50 <= sum(verdicts) <= len(verdicts) - 50
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distinguishable_rejects_non_finite_numbers(bad):
+    t = polygon(4)
+    S = t.vertices[:2].copy()
+    S[1, 0] = bad
+    with pytest.raises(InputError):
+        distinguishable(S, t)
+    rays = t.backend.dual_rays.copy()
+    rays[2, 0] = bad
+    broken = Theory("broken", 3, t.unit, Polytope(t.vertices, rays))
+    with pytest.raises(InputError):
+        distinguishable(t.vertices[:2], broken)
+
+
+def test_distinguishable_rejects_targets_outside_the_state_space():
+    t = polygon(4)
+    with pytest.raises(InputError):
+        distinguishable([t.vertices[0], 2.0 * t.vertices[2]], t)
+    with pytest.raises(InputError):
+        distinguishable([t.vertices[0], 2.0 * t.vertices[2] - t.vertices[0]], t)
+
+
 @pytest.mark.parametrize(
     "theory, expected",
     [
@@ -283,10 +346,27 @@ def test_distinguishable_simplex_full_set():
         (simplex(3), 3),
         (simplex(5), 5),
         (hypercube(3), 2),
+        (polygon(15), 2),
+        (polygon(16), 2),
+        (hypercube(4), 2),
+        (simplex(6), 6),
+        (util.rotated(polygon(15), np.random.default_rng(15)), 2),
+        (util.rotated(polygon(16), np.random.default_rng(16)), 2),
+        (util.rotated(hypercube(4), np.random.default_rng(4)), 2),
+        (util.rotated(simplex(6), np.random.default_rng(6)), 6),
     ],
 )
 def test_operational_dimension(theory, expected):
     assert operational_dimension(theory) == expected
+
+
+def test_operational_dimension_rotated_polygon15_seed102():
+    """A rotated polygon(15) on which the full distinguishability LP made
+    the simplex report optimal at infeasible points and then cycle
+    (SolverError).  Written with io.write_theory from the ("polygon", 15)
+    query of the benchmark's DimensionScan().make_pass(102, 3, ...)."""
+    t = theory_from_file(FIXTURES / "polygon15-seed102-pass3.json")
+    assert operational_dimension(t) == 2
 
 
 def test_operational_dimension_guard():
@@ -318,6 +398,15 @@ def test_validate_theory_rejects_negative_ray():
     bad = Theory("broken", 3, good.unit, Polytope(good.vertices, bad_rays))
     with pytest.raises(InputError):
         validate_theory(bad)
+
+
+@pytest.mark.parametrize("part", ["vertex", "ray", "unit"])
+def test_validate_theory_rejects_non_finite_numbers(part):
+    good = polygon(4)
+    V, R, u = good.vertices.copy(), good.backend.dual_rays.copy(), good.unit.copy()
+    {"vertex": V, "ray": R, "unit": u}[part].flat[0] = np.nan
+    with pytest.raises(InputError):
+        validate_theory(Theory("broken", 3, u, Polytope(V, R)))
 
 
 def test_vertices_unavailable_for_rebit():

@@ -10,6 +10,7 @@ import numpy as np
 
 from gptrat import (
     Measurement,
+    Polytope,
     Theory,
     dichotomic_measurement,
     mix,
@@ -71,3 +72,19 @@ def random_measurement(theory: Theory, rng: np.random.Generator, n_out: int) -> 
     noise = trivial_measurement(theory, rng.dirichlet(np.ones(n_out)), tuple(range(n_out)))
     lam = float(rng.uniform(0.0, 1.0))
     return mix([base, noise], [lam, 1.0 - lam])
+
+
+def rotated(theory: Theory, rng: np.random.Generator) -> Theory:
+    """The polytope theory under a random orthogonal map M with M u = u.
+
+    States and rays both go through M, so every pairing r . s is unchanged
+    while exact zeros turn into round-off noise.
+    """
+    u = theory.unit
+    d = u.size
+    basis = np.linalg.qr(np.column_stack([u, rng.standard_normal((d, d - 1))]))[0]
+    turn = np.eye(d)
+    turn[1:, 1:] = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))[0]
+    M = basis @ turn @ basis.T
+    b = theory.backend
+    return Theory(theory.name, d, u.copy(), Polytope(b.extreme_states @ M.T, b.dual_rays @ M.T))
