@@ -363,8 +363,10 @@ def test_operational_dimension(theory, expected):
 def test_operational_dimension_rotated_polygon15_seed102():
     """A rotated polygon(15) on which the full distinguishability LP made
     the simplex report optimal at infeasible points and then cycle
-    (SolverError).  Written with io.write_theory from the ("polygon", 15)
-    query of the benchmark's DimensionScan().make_pass(102, 3, ...)."""
+    (SolverError).  Recipe: with perfbench/ on the path, take the query q
+    with q.shape == ("polygon", 15) in
+    workloads.DimensionScan().make_pass(102, 3, work_dir) and run
+    io.write_theory(q.data[0], "tests/fixtures/polygon15-seed102-pass3.json")."""
     t = theory_from_file(FIXTURES / "polygon15-seed102-pass3.json")
     assert operational_dimension(t) == 2
 
