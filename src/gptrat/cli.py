@@ -27,13 +27,9 @@ from .storability import decoding_power, information_storability
 from .zoo import polygon
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 def _build_parser() -> _Parser:
@@ -85,15 +81,8 @@ def cmd_polygon(args) -> int:
             states = ",".join(str(j) for j in v.state_labels)
             flag = "ok" if v.ok else "MISMATCH"
             print(f"f={v.f_label} t=({states}) value={v.value:.9f} {flag}")
-        for note in report.skipped:
-            print(f"skipped: {note}")
-        for note in report.discrepancies:
-            print(f"discrepancy: {note}")
         good = sum(1 for v in report.variants if v.ok)
-        print(
-            f"summary: {good}/{len(report.variants)} variants ok, "
-            f"{len(report.skipped)} skipped, {len(report.discrepancies)} discrepancies"
-        )
+        print(f"summary: {good}/{len(report.variants)} variants ok")
         return 0 if report.all_ok else 3
     print(f"{value:.9f}")
     if n >= 4:
@@ -104,7 +93,7 @@ def cmd_polygon(args) -> int:
 def _load_pair(args, expected=None):
     theory = theory_from_file(args.theory)
     if expected is not None and len(args.measurement) != expected:
-        raise _UsageError(f"expected exactly {expected} --measurement arguments")
+        raise InputError(f"expected exactly {expected} --measurement arguments")
     ms = [measurement_from_file(p, theory) for p in args.measurement]
     return theory, ms
 
@@ -188,14 +177,7 @@ def cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

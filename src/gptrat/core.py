@@ -18,7 +18,8 @@ with a maximizing state, effect validity, and structural validation):
 Operations that need vertices or dual rays go through require_polytope.
 Validity checks are explicit operations rather than construction-time gates,
 so intentionally invalid objects can be built for negative tests.  Every
-validity decision uses linalg.EPS.
+validity decision uses linalg.EPS, except that Polytope.validate requires
+the unit to evaluate to 1 on every extreme state within 1e-12.
 """
 
 from __future__ import annotations
@@ -109,6 +110,10 @@ class Ball:
     def validate(self, theory: "Theory") -> None:
         if theory.ambient_dim != self.dim + 1:
             raise InputError(f"a {self.dim}-ball lives in a {self.dim + 1}-dimensional ambient space")
+        # NaN fails every comparison, so finiteness is tested first
+        unit = theory.unit
+        if not np.isfinite(unit).all() or np.max(np.abs(unit[:-1])) > EPS or abs(unit[-1] - 1.0) > EPS:
+            raise InputError("the unit of a ball must be (0, ..., 0, 1)")
 
 
 Backend = Union[Polytope, Ball]

@@ -22,8 +22,7 @@ parent measurement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -36,7 +35,7 @@ from .core import (
     post_process,
     require_polytope,
 )
-from .errors import InputError, UnsupportedBackendError
+from .errors import InputError
 from .rat import rat_success_given_states
 from .storability import information_storability
 from .zoo import polygon, polygon_effect_label, polygon_order, polygon_ray, polygon_state
@@ -52,7 +51,7 @@ def parity_class(n: int) -> str:
     if n % 4 == 0:
         return "4m-odd" if (n // 4) % 2 == 1 else "4m-even"
     if n % 2 == 0:
-        return "4m+2-odd" if ((n - 2) // 4) % 2 == 1 else "4m+2-even"
+        return "4m+2-odd" if (n // 4) % 2 == 1 else "4m+2-even"
     return "4m+1" if n % 4 == 1 else "4m+3"
 
 
@@ -60,20 +59,18 @@ def polygon_rat_closed_form(n: int) -> float:
     """Optimal pair-RAT success on the n-gon with dichotomic measurements."""
     if n < 4:
         raise InputError("closed forms start at n = 4")
+    m = n // 4
     sec_n = 1.0 / math.cos(math.pi / n)
     if n % 4 == 0:
-        m = n // 4
         if m % 2 == 1:
             return 0.5 * (1.0 + sec_n / math.sqrt(2.0))
         return 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
-    if n % 2 == 0:
-        m = (n - 2) // 4
+    if n % 4 == 2:
         ang = m * math.pi / n
         if m % 2 == 1:
             return 0.25 * (2.0 + sec_n * math.cos(ang) + math.sin(ang))
         return 0.25 * (2.0 + math.cos(ang) + sec_n * math.sin(ang))
     sec_2n = 1.0 / math.cos(math.pi / (2 * n))
-    m = (n - 1) // 4 if n % 4 == 1 else (n - 3) // 4
     ang = (m if n % 4 == 1 else m + 1) * math.pi / n
     return 0.25 * (2.0 + math.cos(ang) + sec_2n * math.sin(ang))
 
@@ -128,17 +125,17 @@ class BruteForceResult:
     states: tuple  # argmax descriptors for the tuples (+,+), (-,+), (-,-), (+,-)
 
 
-def brute_force_rat_max(theory: Theory, scan_all_pairs: bool = False) -> BruteForceResult:
+def brute_force_rat_max(theory: Theory) -> BruteForceResult:
     """Independent maximization of the pair RAT over extreme effect pairs.
 
-    On polytope theories the outer maximization runs over pairs of stored
-    extreme effects; by default the first effect is pinned to index 0, which
-    is exact whenever the symmetry group acts transitively on the extreme
-    effects modulo complement (true for all stock polygons).  States report
-    the per-sum argmax vertex, ties resolved to the lowest index.  On the
-    disc the angle of the second effect is scanned on a grid of DISC_GRID
-    angles and refined by golden-section search; states are reported as
-    angles.
+    On polytope theories the first effect is pinned to the stored extreme
+    effect with index 0 and the second runs over every stored extreme
+    effect.  The pin is exact whenever the symmetry group acts transitively
+    on the extreme effects modulo complement (true for all stock polygons).
+    States report the per-sum argmax vertex, ties resolved to the lowest
+    index.  On the disc the angle of the second effect is scanned on a grid
+    of DISC_GRID angles and refined by golden-section search; states are
+    reported as angles.
     """
     if theory.backend == Ball(2):
         return _disc_brute_force()
@@ -150,20 +147,14 @@ def brute_force_rat_max(theory: Theory, scan_all_pairs: bool = False) -> BruteFo
     u = theory.unit
     VE = V @ E.T  # (N, K): effect values on vertices
     Vu = V @ u
-    e_indices = range(E.shape[0]) if scan_all_pairs else range(1)
-    best = (-1.0, 0, 0)
-    for ei in e_indices:
-        ve = VE[:, ei]
-        sup1 = (ve[:, None] + VE).max(axis=0)
-        sup2 = ((Vu - ve)[:, None] + VE).max(axis=0)
-        sup3 = ((2.0 * Vu - ve)[:, None] - VE).max(axis=0)
-        sup4 = ((Vu + ve)[:, None] - VE).max(axis=0)
-        vals = (sup1 + sup2 + sup3 + sup4) / 8.0
-        fi = int(np.argmax(vals))
-        if vals[fi] > best[0]:
-            best = (float(vals[fi]), ei, fi)
-    value, ei, fi = best
-    ve, vf = VE[:, ei], VE[:, fi]
+    ve = VE[:, 0]
+    sup1 = (ve[:, None] + VE).max(axis=0)
+    sup2 = ((Vu - ve)[:, None] + VE).max(axis=0)
+    sup3 = ((2.0 * Vu - ve)[:, None] - VE).max(axis=0)
+    sup4 = ((Vu + ve)[:, None] - VE).max(axis=0)
+    vals = (sup1 + sup2 + sup3 + sup4) / 8.0
+    fi = int(np.argmax(vals))
+    vf = VE[:, fi]
     states = (
         int(np.argmax(ve + vf)),
         int(np.argmax(Vu - ve + vf)),
@@ -171,11 +162,11 @@ def brute_force_rat_max(theory: Theory, scan_all_pairs: bool = False) -> BruteFo
         int(np.argmax(Vu + ve - vf)),
     )
     try:
-        e_label = polygon_effect_label(theory, ei)
+        e_label = polygon_effect_label(theory, 0)
         f_label = polygon_effect_label(theory, fi)
-    except (InputError, UnsupportedBackendError):
-        e_label, f_label = f"effect_{ei}", f"effect_{fi}"
-    return BruteForceResult(value, e_label, f_label, states)
+    except InputError:
+        e_label, f_label = "effect_0", f"effect_{fi}"
+    return BruteForceResult(float(vals[fi]), e_label, f_label, states)
 
 
 def _disc_pair_sums(theta):
@@ -225,113 +216,103 @@ def _disc_brute_force() -> BruteForceResult:
 
 # Optimal effect and state labels for e = first extreme effect, one entry per
 # admissible second effect: (f index, per-sum lists of candidate state labels).
+# Each branch fixes the parity of m, so every halved numerator is even.
 def _table_entries(n: int):
-    def fr(num, den=1):
-        return Fraction(num, den)
-
-    if n % 4 == 0:
-        m = n // 4
-        if m % 2 == 1:
-            specs = [
-                (m + 1, [[fr(m + 1, 2)], [fr(3 * m + 1, 2)], [fr(5 * m + 1, 2)], [fr(7 * m + 1, 2)]]),
-            ]
-        else:
-            specs = [
-                (m, [[fr(m, 2)], [fr(3 * m, 2)], [fr(5 * m, 2)], [fr(7 * m, 2)]]),
-                (
-                    m + 1,
-                    [
-                        [fr(m + 2, 2), fr(m, 2)],
-                        [fr(3 * m + 2, 2), fr(3 * m, 2)],
-                        [fr(5 * m + 2, 2), fr(5 * m, 2)],
-                        [fr(7 * m + 2, 2), fr(7 * m, 2)],
-                    ],
-                ),
-                (m + 2, [[fr(m, 2) + 1], [fr(3 * m, 2) + 1], [fr(5 * m, 2) + 1], [fr(7 * m, 2) + 1]]),
-            ]
-        return m, specs
-    if n % 2 == 0:
-        m = (n - 2) // 4
-        if m % 2 == 1:
-            specs = [
-                (
-                    m + 1,
-                    [
-                        [fr(m + 1, 2)],
-                        [fr(3 * m + 1, 2) + 1, fr(3 * m - 1, 2) + 1],
-                        [fr(5 * m + 1, 2) + 1],
-                        [fr(7 * m + 1, 2) + 2, fr(7 * m - 1, 2) + 2],
-                    ],
-                ),
-                (
-                    m + 2,
-                    [
-                        [fr(m + 1, 2) + 1, fr(m - 1, 2) + 1],
-                        [fr(3 * m + 1, 2) + 1],
-                        [fr(5 * m + 1, 2) + 2, fr(5 * m - 1, 2) + 2],
-                        [fr(7 * m + 1, 2) + 2],
-                    ],
-                ),
-            ]
-        else:
-            specs = [
-                (
-                    m + 1,
-                    [
-                        [fr(m + 2, 2), fr(m, 2)],
-                        [fr(3 * m, 2) + 1],
-                        [fr(5 * m + 2, 2) + 1, fr(5 * m, 2) + 1],
-                        [fr(7 * m, 2) + 2],
-                    ],
-                ),
-                (
-                    m + 2,
-                    [
-                        [fr(m, 2) + 1],
-                        [fr(3 * m + 2, 2) + 1, fr(3 * m, 2) + 1],
-                        [fr(5 * m, 2) + 2],
-                        [fr(7 * m + 2, 2) + 2, fr(7 * m, 2) + 2],
-                    ],
-                ),
-            ]
-        return m, specs
-    if n % 4 == 1:
-        m = (n - 1) // 4
-        if m % 2 == 1:
-            specs = [
-                (
-                    m + 1,
-                    [
-                        [fr(m + 1, 2) + 1, fr(m - 1, 2) + 1],
-                        [fr(3 * m + 1, 2) + 1],
-                        [fr(5 * m + 1, 2) + 1],
-                        [fr(7 * m + 1, 2) + 1],
-                    ],
-                ),
-            ]
-        else:
-            specs = [
-                (
-                    m + 1,
-                    [
-                        [fr(m, 2) + 1],
-                        [fr(3 * m, 2) + 1],
-                        [fr(5 * m + 2, 2) + 1, fr(5 * m, 2) + 1],
-                        [fr(7 * m, 2) + 2],
-                    ],
-                ),
-            ]
-        return m, specs
-    m = (n - 3) // 4
-    if m % 2 == 1:
+    m = n // 4
+    odd = m % 2 == 1
+    if n % 4 == 0 and odd:
+        specs = [
+            (m + 1, [[(m + 1) // 2], [(3 * m + 1) // 2], [(5 * m + 1) // 2], [(7 * m + 1) // 2]]),
+        ]
+    elif n % 4 == 0:
+        specs = [
+            (m, [[m // 2], [3 * m // 2], [5 * m // 2], [7 * m // 2]]),
+            (
+                m + 1,
+                [
+                    [(m + 2) // 2, m // 2],
+                    [(3 * m + 2) // 2, 3 * m // 2],
+                    [(5 * m + 2) // 2, 5 * m // 2],
+                    [(7 * m + 2) // 2, 7 * m // 2],
+                ],
+            ),
+            (m + 2, [[m // 2 + 1], [3 * m // 2 + 1], [5 * m // 2 + 1], [7 * m // 2 + 1]]),
+        ]
+    elif n % 4 == 2 and odd:
+        specs = [
+            (
+                m + 1,
+                [
+                    [(m + 1) // 2],
+                    [(3 * m + 1) // 2 + 1, (3 * m - 1) // 2 + 1],
+                    [(5 * m + 1) // 2 + 1],
+                    [(7 * m + 1) // 2 + 2, (7 * m - 1) // 2 + 2],
+                ],
+            ),
+            (
+                m + 2,
+                [
+                    [(m + 1) // 2 + 1, (m - 1) // 2 + 1],
+                    [(3 * m + 1) // 2 + 1],
+                    [(5 * m + 1) // 2 + 2, (5 * m - 1) // 2 + 2],
+                    [(7 * m + 1) // 2 + 2],
+                ],
+            ),
+        ]
+    elif n % 4 == 2:
+        specs = [
+            (
+                m + 1,
+                [
+                    [(m + 2) // 2, m // 2],
+                    [3 * m // 2 + 1],
+                    [(5 * m + 2) // 2 + 1, 5 * m // 2 + 1],
+                    [7 * m // 2 + 2],
+                ],
+            ),
+            (
+                m + 2,
+                [
+                    [m // 2 + 1],
+                    [(3 * m + 2) // 2 + 1, 3 * m // 2 + 1],
+                    [5 * m // 2 + 2],
+                    [(7 * m + 2) // 2 + 2, 7 * m // 2 + 2],
+                ],
+            ),
+        ]
+    elif n % 4 == 1 and odd:
+        specs = [
+            (
+                m + 1,
+                [
+                    [(m + 1) // 2 + 1, (m - 1) // 2 + 1],
+                    [(3 * m + 1) // 2 + 1],
+                    [(5 * m + 1) // 2 + 1],
+                    [(7 * m + 1) // 2 + 1],
+                ],
+            ),
+        ]
+    elif n % 4 == 1:
+        specs = [
+            (
+                m + 1,
+                [
+                    [m // 2 + 1],
+                    [3 * m // 2 + 1],
+                    [(5 * m + 2) // 2 + 1, 5 * m // 2 + 1],
+                    [7 * m // 2 + 2],
+                ],
+            ),
+        ]
+    elif odd:
         specs = [
             (
                 m + 2,
                 [
-                    [fr(m + 1, 2) + 1],
-                    [fr(3 * m + 1, 2) + 2],
-                    [fr(5 * m + 1, 2) + 3, fr(5 * m - 1, 2) + 3],
-                    [fr(7 * m + 1, 2) + 3],
+                    [(m + 1) // 2 + 1],
+                    [(3 * m + 1) // 2 + 2],
+                    [(5 * m + 1) // 2 + 3, (5 * m - 1) // 2 + 3],
+                    [(7 * m + 1) // 2 + 3],
                 ],
             ),
         ]
@@ -340,10 +321,10 @@ def _table_entries(n: int):
             (
                 m + 2,
                 [
-                    [fr(m + 2, 2) + 1, fr(m, 2) + 1],
-                    [fr(3 * m, 2) + 2],
-                    [fr(5 * m, 2) + 3],
-                    [fr(7 * m, 2) + 4],
+                    [(m + 2) // 2 + 1, m // 2 + 1],
+                    [3 * m // 2 + 2],
+                    [5 * m // 2 + 3],
+                    [7 * m // 2 + 4],
                 ],
             ),
         ]
@@ -365,25 +346,20 @@ class TableReport:
     parity: str
     expected: float
     variants: tuple[TableVariant, ...]
-    skipped: tuple[str, ...] = field(default=())
-    discrepancies: tuple[str, ...] = field(default=())
 
     @property
     def all_ok(self) -> bool:
-        return (
-            bool(self.variants)
-            and all(v.ok for v in self.variants)
-            and not self.discrepancies
-        )
+        return bool(self.variants) and all(v.ok for v in self.variants)
 
 
 def verify_table(n: int) -> TableReport:
     """Replay the tabulated optimal effects and states against the closed form.
 
     Every combination of the listed candidate states is evaluated with a
-    fixed-encoding RAT; labels above n wrap around, labels below 1 are
-    reported as discrepancies, and non-integer label expressions are skipped
-    with a note.
+    fixed-encoding RAT; labels above n wrap around.  Every label is an
+    integer: each branch of the table fixes the parity of m = n // 4, so each
+    halved numerator is even.  Every label is at least 1 once n >= 4, and
+    polygon_state raises on one that is not.
     """
     if n < 4:
         raise InputError("tables start at n = 4")
@@ -391,33 +367,12 @@ def verify_table(n: int) -> TableReport:
     expected = polygon_rat_closed_form(n)
     m, specs = _table_entries(n)
     family = "e" if n % 2 == 0 else "g"
-    e = polygon_ray(theory, 1)
-    m_first = dichotomic_measurement(theory, e)
+    m_first = dichotomic_measurement(theory, polygon_ray(theory, 1))
     variants: list[TableVariant] = []
-    skipped: list[str] = []
-    discrepancies: list[str] = []
     for f_index, columns in specs:
         f_label = f"{family}_{f_index}"
-        f = polygon_ray(theory, f_index)
-        m_second = dichotomic_measurement(theory, f)
-        options: list[list[int]] = []
-        for slot, exprs in enumerate(columns, start=1):
-            usable = []
-            for expr in exprs:
-                if expr.denominator != 1:
-                    skipped.append(f"{f_label}: t{slot} label {expr} is not an integer")
-                    continue
-                j = int(expr)
-                if j < 1:
-                    discrepancies.append(f"{f_label}: t{slot} label {j} is below range")
-                    continue
-                usable.append(j)
-            if not usable:
-                discrepancies.append(f"{f_label}: no usable state for t{slot}")
-            options.append(usable)
-        if any(not opts for opts in options):
-            continue
-        for combo in product(*options):
+        m_second = dichotomic_measurement(theory, polygon_ray(theory, f_index))
+        for combo in product(*columns):
             encoding = {
                 ("+", "+"): polygon_state(theory, combo[0]),
                 ("-", "+"): polygon_state(theory, combo[1]),
@@ -428,13 +383,7 @@ def verify_table(n: int) -> TableReport:
             ok = abs(value - expected) <= 1e-9
             variants.append(TableVariant(f_label, tuple(combo), value, ok))
     return TableReport(
-        n=n,
-        m=m,
-        parity=parity_class(n),
-        expected=expected,
-        variants=tuple(variants),
-        skipped=tuple(skipped),
-        discrepancies=tuple(discrepancies),
+        n=n, m=m, parity=parity_class(n), expected=expected, variants=tuple(variants)
     )
 
 

@@ -73,8 +73,10 @@ def rat_success(measurements, theory: Theory) -> RatReport:
 def rat_success_given_states(measurements, encoding) -> float:
     """Average success with a fixed encoding of outcome tuples into states.
 
-    encoding maps each outcome-label tuple to a state vector; always a lower
-    bound on rat_success.
+    encoding maps each outcome-label tuple to a vector.  The result is a lower
+    bound on rat_success only when every encoded vector is a state; nothing
+    here checks that, and a vector outside the state space can exceed the
+    optimum (3 s_1 for every tuple on polygon(5) gives 1.5 against 0.857).
     """
     ms = list(measurements)
     if not ms:

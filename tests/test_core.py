@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import util
 from gptrat import (
+    Ball,
     InputError,
     Measurement,
     Polytope,
@@ -409,6 +410,12 @@ def test_validate_theory_rejects_non_finite_numbers(part):
     {"vertex": V, "ray": R, "unit": u}[part].flat[0] = np.nan
     with pytest.raises(InputError):
         validate_theory(Theory("broken", 3, u, Polytope(V, R)))
+
+
+@pytest.mark.parametrize("unit", [[0.0, 0.0, 2.0], [0.0, 0.0, np.nan], [1.0, 0.0, 1.0]])
+def test_validate_theory_rejects_a_ball_unit_other_than_the_last_coordinate(unit):
+    with pytest.raises(InputError):
+        validate_theory(Theory("broken", 3, np.array(unit), Ball(2)))
 
 
 def test_vertices_unavailable_for_rebit():
