@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError, UnsupportedBackendError
-from .linalg import EPS, LpProblem, enumerate_facets, solve_lp
+from .linalg import EPS, LpProblem, enumerate_facets, numerical_rank, solve_lp
 
 Vec = np.ndarray
 EffectVec = np.ndarray
@@ -67,6 +67,10 @@ class Polytope:
             raise InputError("extreme states, dual rays and unit must be finite")
         if V.ndim != 2 or V.shape[1] != theory.ambient_dim:
             raise InputError("extreme states have the wrong shape")
+        # effects are only known on the states' span: off it, two effects that
+        # agree on every state would still count as different
+        if numerical_rank(np.linalg.svd(V, compute_uv=False)) != theory.ambient_dim:
+            raise InputError("extreme states do not span the ambient space")
         unit_vals = V @ theory.unit
         if np.max(np.abs(unit_vals - 1.0)) > 1e-12:
             raise InputError("unit must evaluate to 1 on every extreme state")

@@ -4,12 +4,18 @@ Everything downstream works with small, well-scaled problems (tens of
 variables, coefficients of order one), so a two-phase tableau simplex with
 Bland's anti-cycling rule is both sufficient and easy to audit.  All arrays
 are float64 numpy arrays.
+
+Facets are found by trying every subset of k vertices, k the affine
+dimension: C(N, k) subsets for N vertices.  The subsets are generated lazily
+and tested in fixed-size batches (one stacked SVD and one matrix product per
+batch), so memory stays bounded by the batch however many subsets there
+are, and each facet keeps the normal of the first subset found to span it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -20,6 +26,10 @@ EPS = 1e-9
 
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 50_000
+
+# vertex subsets per enumerate_facets batch; its arrays stay in the hundreds
+# of KiB at this size
+_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,12 @@ class LpProblem:
         object.__setattr__(self, "eq_matrix", A)
         object.__setattr__(self, "eq_rhs", b)
         object.__setattr__(self, "nonneg", nn)
+
+
+def numerical_rank(svals: np.ndarray) -> int:
+    """How many singular values exceed EPS times max(1, the largest)."""
+    scale = max(1.0, float(svals[0]) if svals.size else 0.0)
+    return int(np.sum(svals > EPS * scale))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,10 +234,19 @@ def enumerate_facets(vertices: np.ndarray) -> list[Facet]:
     """Enumerate the facets of conv(vertices) by exhaustive hyperplane search.
 
     Works inside the affine hull of the input, so lower-dimensional polytopes
-    embedded in a larger ambient space are handled.  Intended for small vertex
-    counts (tens); every affinely independent subset of size equal to the
-    affine dimension is tested, and facets are deduplicated by incident set,
-    which copes with non-simplicial facets.
+    embedded in a larger ambient space are handled.  Every subset of k
+    vertices, k the affine dimension, spans a candidate hyperplane if it is
+    affinely independent; the hyperplane is a facet's when every vertex lies
+    on one side of it and not every vertex lies on it.  That is C(N, k)
+    subsets for N vertices, so the search suits tens of vertices.
+
+    The subsets come lazily from itertools.combinations, _BATCH at a time,
+    and each batch is tested with one stacked SVD and one matrix product, so
+    memory is bounded by the batch whatever C(N, k) is.  A facet is the set
+    of vertices on it (which copes with non-simplicial facets); its normal
+    comes from the first subset in combinations order that spans it, and its
+    offset from that subset's first vertex, so the output does not depend
+    on the batch size.  Facets are returned sorted by incident set.
     """
     V = np.asarray(vertices, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
@@ -233,42 +258,44 @@ def enumerate_facets(vertices: np.ndarray) -> list[Facet]:
     centroid = V.mean(axis=0)
     M = V - centroid
     _, svals, Vt = np.linalg.svd(M, full_matrices=False)
-    scale = max(1.0, float(svals[0]) if svals.size else 0.0)
-    k = int(np.sum(svals > EPS * scale))
+    k = numerical_rank(svals)
     if k == 0:
         raise InputError("degenerate vertex set: all points coincide")
     B = Vt[:k].T  # ambient basis of the direction space, shape (d, k)
     L = M @ B  # local coordinates, shape (N, k)
 
-    found: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
-    for subset in combinations(range(N), k):
-        P = L[list(subset)]
+    found: dict[bytes, tuple[tuple[int, ...], np.ndarray, float]] = {}
+    subsets = combinations(range(N), k)
+    while True:
+        idx = np.fromiter(chain.from_iterable(islice(subsets, _BATCH)), dtype=np.intp).reshape(-1, k)
+        if idx.size == 0:
+            break
+        P = L[idx]  # (b, k, k): row j of P[i] is vertex idx[i, j]
         if k == 1:
-            w = np.array([1.0])
-            beta = float(P[0, 0])
+            W = np.ones((idx.shape[0], 1))
         else:
-            D = P[1:] - P[0]
-            _, s2, vt2 = np.linalg.svd(D)
-            if s2[-1] <= EPS * max(1.0, s2[0]):
-                continue  # affinely dependent subset
-            w = vt2[-1]
-            beta = float(P[0] @ w)
-        vals = L @ w - beta
-        if np.all(vals <= EPS):
-            pass
-        elif np.all(vals >= -EPS):
-            w, beta, vals = -w, -beta, -vals
-        else:
-            continue  # not a supporting hyperplane
-        incident = tuple(np.nonzero(np.abs(vals) <= EPS)[0])
-        if len(incident) == N:
-            continue  # not a proper face
-        if incident not in found:
-            found[incident] = (w, beta)
+            _, s2, vt2 = np.linalg.svd(P[:, 1:] - P[:, :1])
+            independent = s2[:, -1] > EPS * np.maximum(1.0, s2[:, 0])
+            P, W = P[independent], vt2[independent, -1]
+        vals = W @ L.T - np.einsum("ij,ij->i", P[:, 0], W)[:, None]
+        below = np.all(vals <= EPS, axis=1)
+        above = np.all(vals >= -EPS, axis=1)
+        on = np.abs(vals) <= EPS
+        proper = (below | above) & ~np.all(on, axis=1)
+        for i in np.flatnonzero(proper):
+            key = on[i].tobytes()
+            if key in found:
+                continue
+            # the offset as the per-subset product, whose bits a batched
+            # product does not always reproduce
+            w = W[i]
+            beta = float(P[i, 0] @ w)
+            if not below[i]:
+                w, beta = -w, -beta
+            found[key] = (tuple(np.flatnonzero(on[i])), w, beta)
 
     facets = []
-    for incident in sorted(found):
-        w, beta = found[incident]
+    for incident, w, beta in sorted(found.values(), key=lambda entry: entry[0]):
         normal = B @ w
         offset = float(beta + normal @ centroid)
         facets.append(Facet(normal=normal, offset=offset, incident_vertices=incident))

@@ -22,7 +22,7 @@ from gptrat import (
 from gptrat import cli
 from gptrat.cli import main
 from gptrat.errors import SolverError
-from gptrat.zoo import hypercube, polygon, polygon_ray
+from gptrat.zoo import hypercube, polygon, polygon_ray, simplex
 
 # ------------------------------------------------------------------- files
 
@@ -112,6 +112,48 @@ def test_semantically_invalid_theory_file(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValidationError):
         theory_from_file(path)
+
+
+@pytest.mark.parametrize("with_rays", [False, True])
+def test_theory_whose_vertices_do_not_span_is_rejected(with_rays, tmp_path):
+    # a square in the first two coordinates of a 4-D space: the third
+    # coordinate is zero on every state, so no state can tell the effects
+    # (0, 0, 0.3, 0.5) and (0, 0, 0, 0.5) apart
+    t = polygon(4)
+    square = np.insert(t.vertices, 2, 0.0, axis=1)
+    payload = {
+        "name": "embedded-square",
+        "ambient_dim": 4,
+        "vertices": square.tolist(),
+        "unit": [0.0, 0.0, 0.0, 1.0],
+    }
+    if with_rays:
+        payload["dual_rays"] = np.insert(t.backend.dual_rays, 2, 0.0, axis=1).tolist()
+    theory_path = tmp_path / "embedded.json"
+    theory_path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match="span"):
+        theory_from_file(theory_path)
+
+    m_path = tmp_path / "m.json"
+    m_path.write_text(json.dumps({"outcomes": ["+", "-"], "effects": [[0, 0, 0.3, 0.5], [0, 0, -0.3, 0.5]]}))
+    argv = ["compat", "--theory", str(theory_path), "--measurement", str(m_path), "--measurement", str(m_path)]
+    assert main(argv) == 3
+
+
+def test_stock_theories_and_fixtures_load(tmp_path):
+    stock = [polygon(n) for n in (3, 4, 5, 8, 13)] + [hypercube(d) for d in (2, 3, 4)]
+    stock += [simplex(d) for d in (2, 3, 6)]
+    for t in stock:
+        path = tmp_path / "theory.json"
+        write_theory(t, path)
+        assert theory_from_file(path).backend.dual_rays.shape == t.backend.dual_rays.shape
+        payload = json.loads(path.read_text())
+        del payload["dual_rays"]
+        path.write_text(json.dumps(payload))
+        assert theory_from_file(path).backend.dual_rays.shape == t.backend.dual_rays.shape
+    for path in sorted(FIXTURES.glob("*.json")):
+        if "vertices" in json.loads(path.read_text()):
+            theory_from_file(path)
 
 
 def test_invalid_measurement_file(tmp_path):
@@ -246,6 +288,41 @@ def test_degree_accuracy_on_rotated_polygon40(seed, capsys):
     argv = ["degree", "--theory", theory_path] + [a for p in m_paths for a in ("--measurement", p)]
     assert main(argv) == 0
     assert lo <= json.loads(capsys.readouterr().out)["degree"] <= hi
+
+
+def _seed202_degree(rays: str) -> float:
+    t = theory_from_file(FIXTURES / f"hypercube2-seed202-{rays}.json")
+    m1, m2 = (measurement_from_file(FIXTURES / f"hypercube2-seed202-sharp-m{i}.json", t) for i in (1, 2))
+    return incompatibility_degree(m1, m2, t).degree
+
+
+# The seed-202 files are a rotated hypercube(2) (the square) and a sharp pair
+# on it whose true degree is 0.5.  Recipe: with perfbench/ on the path, run
+# workloads.FileQueries().make_pass(202, 6, work_dir) and copy
+# pass-6/hypercube2-{norays,rays,sharp-m1,sharp-m2}.json to
+# tests/fixtures/hypercube2-seed202-*.json.  Both tests fail while
+# linalg.solve_lp calls LPs at infeasible points optimal (ROADMAP item 1).
+SEED202_DEGREE_RANGE = (0.5 - 2e-6, 0.5 + 1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="defect C: solve_lp calls two bisection LPs optimal at infeasible points, degree 0.50006103515625",
+)
+def test_degree_on_seed202_square_without_rays():
+    lo, hi = SEED202_DEGREE_RANGE
+    assert lo <= _seed202_degree("norays") <= hi
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SolverError,
+    reason="defect B: phase one calls the lam = 1/2 LP infeasible, so the bisection raises SolverError",
+)
+def test_degree_on_seed202_square_with_rays():
+    lo, hi = SEED202_DEGREE_RANGE
+    assert lo <= _seed202_degree("rays") <= hi
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from gptrat import InputError, LpProblem, enumerate_facets, solve_lp
+import util
+from gptrat import InputError, LpProblem, enumerate_facets, linalg, solve_lp
+from gptrat.linalg import EPS, Facet
 from gptrat.zoo import hypercube, polygon, simplex
 
 
@@ -202,3 +207,105 @@ def test_segment_facets():
 def test_degenerate_vertex_set_rejected():
     with pytest.raises(InputError):
         enumerate_facets(np.array([[1.0, 2.0]]))
+
+
+def _enumerate_facets_loop(vertices: np.ndarray) -> list[Facet]:
+    """Reference: the facet search one vertex subset at a time, one SVD and
+    one support test per subset, as enumerate_facets did before batching."""
+    V = np.asarray(vertices, dtype=float)
+    N = V.shape[0]
+    centroid = V.mean(axis=0)
+    M = V - centroid
+    _, svals, Vt = np.linalg.svd(M, full_matrices=False)
+    scale = max(1.0, float(svals[0]) if svals.size else 0.0)
+    k = int(np.sum(svals > EPS * scale))
+    B = Vt[:k].T
+    L = M @ B
+
+    found: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
+    for subset in combinations(range(N), k):
+        P = L[list(subset)]
+        if k == 1:
+            w = np.array([1.0])
+            beta = float(P[0, 0])
+        else:
+            D = P[1:] - P[0]
+            _, s2, vt2 = np.linalg.svd(D)
+            if s2[-1] <= EPS * max(1.0, s2[0]):
+                continue  # affinely dependent subset
+            w = vt2[-1]
+            beta = float(P[0] @ w)
+        vals = L @ w - beta
+        if np.all(vals <= EPS):
+            pass
+        elif np.all(vals >= -EPS):
+            w, beta, vals = -w, -beta, -vals
+        else:
+            continue  # not a supporting hyperplane
+        incident = tuple(np.nonzero(np.abs(vals) <= EPS)[0])
+        if len(incident) == N:
+            continue  # not a proper face
+        if incident not in found:
+            found[incident] = (w, beta)
+
+    facets = []
+    for incident in sorted(found):
+        w, beta = found[incident]
+        normal = B @ w
+        offset = float(beta + normal @ centroid)
+        facets.append(Facet(normal=normal, offset=offset, incident_vertices=incident))
+    return facets
+
+
+def _assert_same_facets(got: list[Facet], want: list[Facet]) -> None:
+    assert [f.incident_vertices for f in got] == [f.incident_vertices for f in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.normal, w.normal)
+        assert g.offset == w.offset
+
+
+def _oracle_corpus() -> list[np.ndarray]:
+    rng = np.random.default_rng(18)
+    theories = [polygon(n) for n in range(3, 41)]
+    theories += [hypercube(d) for d in (2, 3, 4)] + [simplex(d) for d in range(2, 7)]
+    corpus = [util.rotated(t, rng).vertices for t in theories]
+    corpus.append(np.array([[0.0, 0.0], [2.0, 0.0]]))  # a segment: k = 1
+    square = np.zeros((4, 5))
+    square[:, :2] = polygon(4).vertices[:, :2]  # a square embedded in 5-D
+    corpus.append(square)
+    for _ in range(5):  # hull points plus interior points
+        hull = rng.normal(size=(8, 3))
+        corpus.append(np.vstack([hull, 0.1 * rng.normal(size=(4, 3)) + hull.mean(axis=0)]))
+    return corpus
+
+
+def test_enumerate_facets_bit_identical_to_per_subset_search():
+    for vertices in _oracle_corpus():
+        _assert_same_facets(enumerate_facets(vertices), _enumerate_facets_loop(vertices))
+
+
+def test_hypercube4_facets_dedupe_across_batches():
+    # C(16, 4) = 1,820 subsets, several batches; each facet is a 3-cube whose
+    # 8 vertices are spanned by many subsets
+    facets = enumerate_facets(hypercube(4).vertices)
+    assert len(facets) == 8
+    assert all(len(f.incident_vertices) == 8 for f in facets)
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_facets_do_not_depend_on_the_batch_size(batch, monkeypatch):
+    vertices = hypercube(4).vertices
+    want = enumerate_facets(vertices)
+    monkeypatch.setattr(linalg, "_BATCH", batch)
+    _assert_same_facets(enumerate_facets(vertices), want)
+
+
+def test_facet_search_memory_is_bounded_by_the_batch():
+    vertices = hypercube(4).vertices
+    tracemalloc.start()
+    try:
+        enumerate_facets(vertices)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
