@@ -154,7 +154,6 @@ def cmd_degree(args) -> int:
     report = incompatibility_degree(ms[0], ms[1], theory)
     payload = {
         "degree": report.degree,
-        "bisection_iters": report.bisection_iters,
         "optimal_trivials": [list(map(float, p)) for p in report.optimal_trivials],
     }
     print(json.dumps(payload, indent=2, sort_keys=True))

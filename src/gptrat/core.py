@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Union
 
 import numpy as np
@@ -154,10 +154,24 @@ class Measurement:
             raise InputError("effects must be a 2-D array, one row per outcome")
         if len(self.outcomes) != self.effects.shape[0]:
             raise InputError("number of outcome labels does not match number of effects")
+        if len(set(self.outcomes)) != len(self.outcomes):
+            raise InputError("outcome labels must be distinct")
 
     @property
     def num_outcomes(self) -> int:
         return len(self.outcomes)
+
+
+def outcome_tuples(measurements):
+    """(labels, M^(1)_{x_1} + ... + M^(k)_{x_k}) for every outcome tuple.
+
+    Tuples come in lexicographic order of the outcome indices, and the
+    effects are added left to right.  This order is the joint outcome order
+    everywhere: RAT sums, the harmonic joint and the joint-measurement LP.
+    """
+    for pairs in product(*(zip(m.outcomes, m.effects) for m in measurements)):
+        labels, effects = zip(*pairs)
+        yield labels, sum(effects)
 
 
 def require_polytope(theory: Theory, operation: str) -> Polytope:
@@ -219,9 +233,18 @@ def is_valid_measurement(m: Measurement, theory: Theory) -> bool:
     return theory.backend.effects_valid(m.effects)
 
 
-def require_valid_measurement(m: Measurement, theory: Theory) -> None:
-    if not is_valid_measurement(m, theory):
+_TOO_FEW = {1: "need at least one measurement", 2: "need at least two measurements"}
+
+
+def require_valid_measurements(measurements, theory: Theory, at_least: int) -> list[Measurement]:
+    """The measurements as a list; InputError unless there are at least
+    at_least of them (1 or 2) and each is valid on the theory."""
+    ms = list(measurements)
+    if len(ms) < at_least:
+        raise InputError(_TOO_FEW[at_least])
+    if not all(is_valid_measurement(m, theory) for m in ms):
         raise InputError("not a valid measurement on this theory")
+    return ms
 
 
 def trivial_measurement(theory: Theory, probs, outcomes=None) -> Measurement:

@@ -72,11 +72,16 @@ def _parse_vector(value, where: str) -> np.ndarray:
 
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return data
@@ -153,6 +158,8 @@ def measurement_from_file(path, theory: Theory) -> Measurement:
     for i, label in enumerate(outcomes):
         if not isinstance(label, (str, int)) or isinstance(label, bool):
             raise ParseError(f"{path}: outcomes[{i}] must be a string or integer")
+    if len(set(outcomes)) != len(outcomes):
+        raise ParseError(f"{path}: outcome labels must be distinct")
     effects = _parse_matrix(data["effects"], f"{path}: effects")
     if effects.shape[0] != len(outcomes):
         raise ParseError(

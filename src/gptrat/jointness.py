@@ -10,17 +10,16 @@ always a valid measurement; its i-th marginal is the noisy version
 lam_i M^(i) + (1 - lam_i) (u / m_i) with lam_i = h / (k m_i), h the harmonic
 mean of the outcome counts.
 
-Exact compatibility of finitely many measurements on a polytope theory is a
-feasibility LP over the dual-ray cone; the degree of incompatibility is found
-by bisecting the largest noise parameter lam for which the uniformly smeared
-versions lam M + (1 - lam) p(x) u stay compatible (the trivial parts p, q are
-free LP variables, so the degree is with respect to the worst trivial noise).
+Joint outcomes are core.outcome_tuples, in its order.  Exact compatibility
+on a polytope theory is one feasibility LP over the dual-ray cone; a pair's
+degree of incompatibility is 1 when it is feasible, and otherwise the
+largest lam found by bisection for which lam M + (1 - lam) p(x) u stay
+compatible (p, q are free LP variables: the worst trivial noise).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 import numpy as np
@@ -28,8 +27,9 @@ import numpy as np
 from .core import (
     Measurement,
     Theory,
+    outcome_tuples,
     require_polytope,
-    require_valid_measurement,
+    require_valid_measurements,
 )
 from .errors import InputError, SolverError
 from .linalg import EPS, LpProblem, kron, solve_lp
@@ -45,7 +45,6 @@ class JointWitness:
 class DegreeReport:
     degree: float
     optimal_trivials: tuple[np.ndarray, np.ndarray]
-    bisection_iters: int
 
 
 def harmonic_joint(measurements) -> Measurement:
@@ -58,12 +57,8 @@ def harmonic_joint(measurements) -> Measurement:
     if any(m.effects.shape[1] != dim for m in ms):
         raise InputError("measurements live in different ambient spaces")
     kappa = prod(counts) * sum(1.0 / c for c in counts)
-    outcomes = []
-    effects = np.empty((prod(counts), dim))
-    for row, combo in enumerate(product(*(range(c) for c in counts))):
-        outcomes.append(tuple(ms[i].outcomes[x] for i, x in enumerate(combo)))
-        effects[row] = sum(ms[i].effects[x] for i, x in enumerate(combo)) / kappa
-    return Measurement(tuple(outcomes), effects)
+    labels, sums = zip(*outcome_tuples(ms))
+    return Measurement(labels, np.array(sums) / kappa)
 
 
 def harmonic_smearing_weights(outcome_counts) -> list[float]:
@@ -74,18 +69,18 @@ def harmonic_smearing_weights(outcome_counts) -> list[float]:
     return [h / (k * c) for c in counts]
 
 
-def _joint_lp(counts, rays: np.ndarray):
-    """Marginal operator P and cone block kron(P, rays.T) of the joint LP.
+def _joint_lp(ms, rays: np.ndarray):
+    """Joint outcome labels, marginal operator P and cone block of the joint LP.
 
-    Joint outcomes are the product tuples in lexicographic order; row
-    (axis i, outcome x) of the 0/1 matrix P selects the tuples with
-    x_i = x, so P @ joint_effects stacks every marginal.  The LP variables
-    are the joint effects' cone coefficients, R per tuple, and the cone
-    block maps them to the stacked marginals.
+    The joint outcomes are the label tuples of outcome_tuples, in its order.
+    Row (axis i, outcome x) of the 0/1 matrix P selects the tuples whose
+    i-th label is x (labels are distinct), so P @ joint_effects stacks every
+    marginal.  The LP variables are the joint effects' cone coefficients, R
+    per tuple, and the cone block kron(P, rays.T) maps them to the marginals.
     """
-    axes = np.unravel_index(np.arange(prod(counts)), counts)
-    P = np.vstack([x == np.arange(c)[:, None] for x, c in zip(axes, counts)]).astype(float)
-    return P, kron(P, rays.T)
+    labels = [t for t, _ in outcome_tuples(ms)]
+    P = np.array([[t[i] == x for t in labels] for i, m in enumerate(ms) for x in m.outcomes], dtype=float)
+    return labels, P, kron(P, rays.T)
 
 
 def check_compatible(measurements, theory: Theory) -> JointWitness | None:
@@ -96,24 +91,18 @@ def check_compatible(measurements, theory: Theory) -> JointWitness | None:
     then sums to the unit automatically because each marginal does.
     """
     rays = require_polytope(theory, "the compatibility LP").dual_rays
-    ms = list(measurements)
-    if len(ms) < 2:
-        raise InputError("need at least two measurements")
-    for m in ms:
-        require_valid_measurement(m, theory)
-    counts = [m.num_outcomes for m in ms]
-    P, A = _joint_lp(counts, rays)
+    ms = require_valid_measurements(measurements, theory, 2)
+    labels, P, A = _joint_lp(ms, rays)
     stacked = np.vstack([m.effects for m in ms])
     res = solve_lp(LpProblem(np.zeros(A.shape[1]), A, stacked.ravel()))
     if res.status != "optimal":
         return None
 
     joint_effects = res.solution.reshape(P.shape[1], -1) @ rays
-    outcomes = tuple(product(*(m.outcomes for m in ms)))
     errors = np.abs(P @ joint_effects - stacked).max(axis=1)
-    bounds = np.cumsum([0] + counts)
+    bounds = np.cumsum([0] + [m.num_outcomes for m in ms])
     residuals = tuple(float(errors[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
-    return JointWitness(Measurement(outcomes, joint_effects), residuals)
+    return JointWitness(Measurement(tuple(labels), joint_effects), residuals)
 
 
 def _degree_lp(m1, m2, theory):
@@ -125,7 +114,7 @@ def _degree_lp(m1, m2, theory):
     once.
     """
     c1, c2 = m1.num_outcomes, m2.num_outcomes
-    _, cone = _joint_lp([c1, c2], theory.backend.dual_rays)
+    _, _, cone = _joint_lp([m1, m2], theory.backend.dual_rays)
     nbeta = cone.shape[1]
     unit_noise = kron(np.eye(c1 + c2), theory.unit[:, None])
     sums = np.zeros((2, nbeta + c1 + c2))
@@ -147,32 +136,30 @@ def _degree_lp(m1, m2, theory):
 def incompatibility_degree(m1: Measurement, m2: Measurement, theory: Theory) -> DegreeReport:
     """Largest lam in [1/2, 1] keeping the smeared pair compatible.
 
-    lam = 1 is tested first so compatible pairs report exactly 1.0; otherwise
-    the feasible set is bisected to a bracket below 1e-6 and the lower end is
+    lam = 1 is decided by the compatibility LP (check_compatible), so
+    compatible pairs report exactly 1.0; the noise then has weight 0, and
+    the reported trivial parts are the uniform distributions.  Otherwise the
+    feasible set is bisected to a bracket below 1e-6 and the lower end is
     returned, so the result never overstates the degree.
     """
     require_polytope(theory, "the incompatibility degree")
-    require_valid_measurement(m1, theory)
-    require_valid_measurement(m2, theory)
+    if check_compatible([m1, m2], theory) is not None:
+        uniform = tuple(np.full(m.num_outcomes, 1.0 / m.num_outcomes) for m in (m1, m2))
+        return DegreeReport(1.0, uniform)
     feasible = _degree_lp(m1, m2, theory)
-    exact = feasible(1.0)
-    if exact is not None:
-        return DegreeReport(1.0, exact, 1)
     lo, hi = 0.5, 1.0
     trivials = feasible(lo)
-    iters = 2
     if trivials is None:
         raise SolverError("uniform-noise mixture at lam = 1/2 must be compatible")
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         sol = feasible(mid)
-        iters += 1
         if sol is None:
             hi = mid
         else:
             lo = mid
             trivials = sol
-    return DegreeReport(lo, trivials, iters)
+    return DegreeReport(lo, trivials)
 
 
 def maximally_incompatible_dichotomic(m1: Measurement, m2: Measurement, theory: Theory) -> bool:
@@ -186,8 +173,7 @@ def maximally_incompatible_dichotomic(m1: Measurement, m2: Measurement, theory: 
     V = require_polytope(theory, "the maximal-incompatibility test").extreme_states
     if m1.num_outcomes != 2 or m2.num_outcomes != 2:
         raise InputError("both measurements must be dichotomic")
-    require_valid_measurement(m1, theory)
-    require_valid_measurement(m2, theory)
+    require_valid_measurements([m1, m2], theory, 2)
     d = theory.ambient_dim
     e_vals = V @ m1.effects[0]
     f_vals = V @ m2.effects[0]

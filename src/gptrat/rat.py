@@ -16,12 +16,11 @@ incompatibility certificate: a compatible pair can never beat
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 import numpy as np
 
-from .core import Measurement, Theory, norm_with_argmax, require_valid_measurement
+from .core import Measurement, Theory, norm_with_argmax, outcome_tuples, require_valid_measurements
 from .errors import InputError
 from .jointness import harmonic_joint
 from .storability import decoding_power, information_storability
@@ -44,30 +43,13 @@ class CertificateVerdict:
     verdict: str  # "certified_incompatible" or "inconclusive"
 
 
-def _checked(measurements, theory: Theory):
-    ms = list(measurements)
-    if not ms:
-        raise InputError("need at least one measurement")
-    for m in ms:
-        require_valid_measurement(m, theory)
-    return ms
-
-
 def rat_success(measurements, theory: Theory) -> RatReport:
     """Optimal average success probability of the random access test."""
-    ms = _checked(measurements, theory)
+    ms = require_valid_measurements(measurements, theory, 1)
+    per_tuple = {labels: norm_with_argmax(summed, theory) for labels, summed in outcome_tuples(ms)}
     counts = tuple(m.num_outcomes for m in ms)
-    k = len(ms)
-    per_tuple = {}
-    total = 0.0
-    for combo in product(*(range(c) for c in counts)):
-        summed = sum(ms[i].effects[x] for i, x in enumerate(combo))
-        norm, arg = norm_with_argmax(summed, theory)
-        labels = tuple(ms[i].outcomes[x] for i, x in enumerate(combo))
-        per_tuple[labels] = (norm, arg)
-        total += norm
-    p_bar = total / (k * prod(counts))
-    return RatReport(p_bar, per_tuple, k, counts)
+    p_bar = sum(norm for norm, _ in per_tuple.values()) / (len(ms) * prod(counts))
+    return RatReport(p_bar, per_tuple, len(ms), counts)
 
 
 def rat_success_given_states(measurements, encoding) -> float:
@@ -81,17 +63,12 @@ def rat_success_given_states(measurements, encoding) -> float:
     ms = list(measurements)
     if not ms:
         raise InputError("need at least one measurement")
-    counts = tuple(m.num_outcomes for m in ms)
-    k = len(ms)
     total = 0.0
-    for combo in product(*(range(c) for c in counts)):
-        labels = tuple(ms[i].outcomes[x] for i, x in enumerate(combo))
+    for labels, summed in outcome_tuples(ms):
         if labels not in encoding:
             raise InputError(f"encoding is missing outcome tuple {labels}")
-        state = np.asarray(encoding[labels], dtype=float)
-        summed = sum(ms[i].effects[x] for i, x in enumerate(combo))
-        total += float(summed @ state)
-    return total / (k * prod(counts))
+        total += float(summed @ np.asarray(encoding[labels], dtype=float))
+    return total / (len(ms) * prod(m.num_outcomes for m in ms))
 
 
 def connection_check(measurements, theory: Theory) -> tuple[float, float, float]:
@@ -100,9 +77,7 @@ def connection_check(measurements, theory: Theory) -> tuple[float, float, float]
     The residual |p_bar - power / h| with h the harmonic mean of the outcome
     counts is zero up to rounding; it is returned for auditability.
     """
-    ms = _checked(measurements, theory)
-    if len(ms) < 2:
-        raise InputError("need at least two measurements")
+    ms = require_valid_measurements(measurements, theory, 2)
     counts = [m.num_outcomes for m in ms]
     h = len(counts) / sum(1.0 / c for c in counts)
     p_bar = rat_success(ms, theory).p_bar
@@ -126,8 +101,7 @@ def certify_incompatibility(m1: Measurement, m2: Measurement, theory: Theory) ->
     (storability + m1 m2) / (m1 + m2); the certificate can only ever fire
     when storability > m1 m2 / (m1 + m2 - 1) (the "useful" flag).
     """
-    require_valid_measurement(m1, theory)
-    require_valid_measurement(m2, theory)
+    require_valid_measurements([m1, m2], theory, 2)
     c1, c2 = m1.num_outcomes, m2.num_outcomes
     lhs = decoding_power(harmonic_joint([m1, m2]), theory)
     storability = information_storability(theory).value

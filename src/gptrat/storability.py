@@ -27,7 +27,7 @@ from .core import (
     operational_dimension,
     order_unit_norm,
     require_polytope,
-    require_valid_measurement,
+    require_valid_measurements,
 )
 from .errors import InputError, SolverError
 from .linalg import EPS, LpProblem, solve_lp
@@ -42,7 +42,7 @@ class StorabilityReport:
 
 def decoding_power(m: Measurement, theory: Theory) -> float:
     """sum_x ||M_x||; monotone under post-processing and mixing."""
-    require_valid_measurement(m, theory)
+    require_valid_measurements([m], theory, 1)
     return float(sum(order_unit_norm(f, theory) for f in m.effects))
 
 
