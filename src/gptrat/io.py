@@ -115,10 +115,7 @@ def theory_from_file(path) -> Theory:
         if rays is None:
             rays = dual_rays_from_vertices(vertices, unit)
         else:
-            vals = vertices @ rays.T
-            tops = vals.max(axis=0)
-            if vals.min() < -EPS:
-                raise InputError("a dual ray is negative on a vertex")
+            tops = (vertices @ rays.T).max(axis=0)
             if tops.min() <= EPS:
                 raise InputError("a dual ray vanishes on the whole state space")
             # rescale only rays that are visibly unnormalized, so writing and

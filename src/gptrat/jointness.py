@@ -13,8 +13,9 @@ mean of the outcome counts.
 Joint outcomes are core.outcome_tuples, in its order.  Exact compatibility
 on a polytope theory is one feasibility LP over the dual-ray cone; a pair's
 degree of incompatibility is 1 when it is feasible, and otherwise the
-largest lam found by bisection for which lam M + (1 - lam) p(x) u stay
-compatible (p, q are free LP variables: the worst trivial noise).
+largest lam for which lam M + (1 - lam) p u and lam N + (1 - lam) q u stay
+compatible for some distributions p, q (the worst trivial noise), read off
+one LP as 1 / (1 + s) (Busch, Heinosaari, Schultz and Stevens, EPL 2013).
 """
 
 from __future__ import annotations
@@ -105,61 +106,39 @@ def check_compatible(measurements, theory: Theory) -> JointWitness | None:
     return JointWitness(Measurement(tuple(labels), joint_effects), residuals)
 
 
-def _degree_lp(m1, m2, theory):
-    """Feasibility test in lam: is (lam M + (1-lam) p u, lam N + (1-lam) q u)
-    compatible for some distributions p, q?  Returns lam -> (p, q) or None.
-
-    The joint LP's cone block gains noise columns -(1 - lam) kron(I, u) for
-    p and q and the rows sum p = sum q = 1; everything but lam is assembled
-    once.
-    """
-    c1, c2 = m1.num_outcomes, m2.num_outcomes
-    _, _, cone = _joint_lp([m1, m2], theory.backend.dual_rays)
-    nbeta = cone.shape[1]
-    unit_noise = kron(np.eye(c1 + c2), theory.unit[:, None])
-    sums = np.zeros((2, nbeta + c1 + c2))
-    sums[0, nbeta : nbeta + c1] = 1.0
-    sums[1, nbeta + c1 :] = 1.0
-    effects = np.concatenate([m1.effects.ravel(), m2.effects.ravel()])
-
-    def feasible(lam):
-        A = np.vstack([np.hstack([cone, -(1.0 - lam) * unit_noise]), sums])
-        b = np.concatenate([lam * effects, [1.0, 1.0]])
-        res = solve_lp(LpProblem(np.zeros(A.shape[1]), A, b))
-        if res.status != "optimal":
-            return None
-        return res.solution[nbeta : nbeta + c1], res.solution[nbeta + c1 :]
-
-    return feasible
-
-
 def incompatibility_degree(m1: Measurement, m2: Measurement, theory: Theory) -> DegreeReport:
     """Largest lam in [1/2, 1] keeping the smeared pair compatible.
 
     lam = 1 is decided by the compatibility LP (check_compatible), so
     compatible pairs report exactly 1.0; the noise then has weight 0, and
-    the reported trivial parts are the uniform distributions.  Otherwise the
-    feasible set is bisected to a bracket below 1e-6 and the lower end is
-    returned, so the result never overstates the degree.
+    the reported trivial parts are the uniform distributions.  Otherwise one
+    LP finds the least total noise s = sum w = sum w' with w, w' >= 0 for
+    which M_x + w_x u and N_y + w'_y u have a joint; then lam = 1 / (1 + s)
+    and the trivial parts are w / s and w' / s.  The tests pin the result
+    within 1e-6 of a bisection oracle and check that the pair smeared at
+    lam - 1e-9 with the returned trivials is compatible.
     """
     require_polytope(theory, "the incompatibility degree")
     if check_compatible([m1, m2], theory) is not None:
         uniform = tuple(np.full(m.num_outcomes, 1.0 / m.num_outcomes) for m in (m1, m2))
         return DegreeReport(1.0, uniform)
-    feasible = _degree_lp(m1, m2, theory)
-    lo, hi = 0.5, 1.0
-    trivials = feasible(lo)
-    if trivials is None:
-        raise SolverError("uniform-noise mixture at lam = 1/2 must be compatible")
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        sol = feasible(mid)
-        if sol is None:
-            hi = mid
-        else:
-            lo = mid
-            trivials = sol
-    return DegreeReport(lo, trivials)
+    c1, c2 = m1.num_outcomes, m2.num_outcomes
+    _, _, cone = _joint_lp([m1, m2], theory.backend.dual_rays)
+    nbeta = cone.shape[1]
+    # columns: cone coefficients, then w (c1) and w' (c2); the last row is
+    # sum w - sum w' = 0
+    A = np.vstack([
+        np.hstack([cone, -kron(np.eye(c1 + c2), theory.unit[:, None])]),
+        np.concatenate([np.zeros(nbeta), np.ones(c1), -np.ones(c2)]),
+    ])
+    b = np.concatenate([m1.effects.ravel(), m2.effects.ravel(), [0.0]])
+    objective = np.concatenate([np.zeros(nbeta), -np.ones(c1), np.zeros(c2)])
+    res = solve_lp(LpProblem(objective, A, b))
+    s = -res.value
+    if res.status != "optimal" or not 0.0 < s <= 1.0 + EPS:
+        raise SolverError(f"degree LP ended with status {res.status} and noise {s}, outside (0, 1]")
+    noise = res.solution[nbeta:] / s
+    return DegreeReport(1.0 / (1.0 + s), (noise[:c1], noise[c1:]))
 
 
 def maximally_incompatible_dichotomic(m1: Measurement, m2: Measurement, theory: Theory) -> bool:

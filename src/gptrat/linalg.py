@@ -1,9 +1,9 @@
 """Dense simplex LP solver and polytope facet enumeration.
 
 Everything downstream works with small, well-scaled problems (tens of
-variables, coefficients of order one), so a two-phase tableau simplex with
-Bland's anti-cycling rule is both sufficient and easy to audit.  All arrays
-are float64 numpy arrays.
+variables, coefficients of order one), so a two-phase tableau simplex that
+checks the point it returns is both sufficient and easy to audit.  All
+arrays are float64 numpy arrays.
 
 Facets are found by trying every subset of k vertices, k the affine
 dimension: C(N, k) subsets for N vertices.  The subsets are generated lazily
@@ -26,6 +26,8 @@ EPS = 1e-9
 
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 50_000
+# how far below zero the ratio test lets a basic value drift
+_DRIFT = 1e-10
 
 # vertex subsets per enumerate_facets batch; its arrays stay in the hundreds
 # of KiB at this size
@@ -127,10 +129,19 @@ def _bland(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> str:
         rows = np.nonzero(column > _PIVOT_TOL)[0]
         if rows.size == 0:
             return "unbounded"
-        ratios = T[rows, -1] / column[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
-        row = ties[np.argmin(basis[ties])]
+        rhs, pivots = T[rows, -1], column[rows]
+        # Harris: leaving at a ratio below the bound keeps the basic values
+        # of these rows above -_DRIFT; of those rows the largest pivot
+        # element leaves, then the smallest basis index
+        ties = rows[rhs / pivots <= ((rhs + _DRIFT) / pivots).min()]
+        row = ties[0]
+        if ties.size > 1:
+            pivots = column[ties]
+            ties = ties[pivots == pivots.max()]
+            row = ties[np.argmin(basis[ties])]
+        # a leaving value that drifted below zero steps by zero, not backwards
+        if T[row, -1] < 0.0:
+            T[row, -1] = 0.0
         _pivot(T, basis, row, col)
     raise SolverError("simplex failed to terminate")
 
@@ -138,9 +149,16 @@ def _bland(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> str:
 def solve_lp(problem: LpProblem) -> LpResult:
     """Solve an equality-form LP by the two-phase tableau simplex method.
 
-    Bland's rule (smallest eligible index enters, smallest basic index breaks
-    ratio ties) guarantees termination.  Redundant equality rows are detected
-    in phase one and dropped, so degenerate constraint systems are fine.
+    The smallest eligible index enters (Bland's rule).  In Harris's ratio
+    test, of the rows whose step keeps the other basic values above
+    -_DRIFT, the largest pivot element leaves, then the smallest basic
+    index, so a sound row beats round-off noise.  Bland's termination proof
+    then no longer holds; the _MAX_PIVOTS cap ends the search with
+    SolverError.  Phase one calls the LP infeasible when its artificials sum
+    to more than EPS times scale = max(1, |b|_inf), and drops the rows it
+    finds redundant.  The result is "optimal" only if
+    |A x - b|_inf <= EPS scale and x >= -EPS where sign-constrained;
+    otherwise SolverError, and x is never returned.
     """
     c0 = problem.objective
     A0 = problem.eq_matrix
@@ -174,7 +192,9 @@ def solve_lp(problem: LpProblem) -> LpResult:
     cost1[n_ext:] = -1.0
     _set_objective_row(T, basis, cost1)
     _bland(T, basis, allowed)
-    if -T[-1, -1] < -1e-8:
+    # phase one decides at the tolerance of the residual check below
+    scale = max(1.0, np.abs(b0).max(initial=0.0))
+    if -T[-1, -1] < -EPS * scale:
         return LpResult("infeasible", float("nan"), None, None)
 
     # drive leftover artificials out of the basis; a row whose artificial
@@ -216,6 +236,9 @@ def solve_lp(problem: LpProblem) -> LpResult:
     for i, orig in enumerate(orig_row):
         duals[orig] = -T[-1, n_ext + orig] * row_sign[orig]
 
+    residual = np.abs(A0 @ x - b0).max(initial=0.0) / scale
+    if residual > EPS or x[nonneg].min(initial=0.0) < -EPS:
+        raise SolverError(f"simplex ended at an infeasible point (relative residual {residual:.3g})")
     value = float(c0 @ x)
     return LpResult("optimal", value, x, duals)
 

@@ -372,6 +372,31 @@ def test_operational_dimension_rotated_polygon15_seed102():
     assert operational_dimension(t) == 2
 
 
+# 0-based vertex subsets of the same polygon(15) on which the full LP gave a
+# wrong verdict or raised SolverError while the ratio test broke near-ties
+# by basis index alone, pivoting on round-off noise
+SEED102_SUBSETS = [
+    (5, 13),
+    (6, 14),
+    (0, 1, 5),
+    (0, 4, 7),
+    (0, 1, 5, 10),
+    (0, 1, 5, 12),
+    (0, 1, 5, 13),
+    (0, 4, 5, 7),
+    (0, 4, 7, 10),
+    (0, 4, 7, 11),
+    (0, 4, 8, 12),
+]
+
+
+@pytest.mark.parametrize("subset", SEED102_SUBSETS, ids=lambda s: "-".join(map(str, s)))
+def test_full_lp_agrees_on_rotated_polygon15_seed102(subset):
+    t = theory_from_file(FIXTURES / "polygon15-seed102-pass3.json")
+    S = t.vertices[list(subset)]
+    assert _distinguishable_full_lp(S, t) == distinguishable(S, t)
+
+
 def test_operational_dimension_guard():
     with pytest.raises(InputError):
         operational_dimension(polygon(17))

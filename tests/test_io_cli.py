@@ -279,30 +279,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 POLYGON40_SHARP_DEGREE = 0.92704034273173
 
 
-@pytest.mark.parametrize(
-    "seed",
-    [
-        108,
-        201,
-        pytest.param(
-            111,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=SolverError,
-                reason="defect D: the bisection LP at lam = 0.92578125 cycles and raises SolverError",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("seed", [108, 201, 111])
 def test_degree_accuracy_on_rotated_polygon40(seed, capsys):
     # rotated polygon(40) and a sharp pair, as the file_queries benchmark
     # workload writes them (seed 108 pass 0, seed 201 pass 3, seed 111
     # pass 14).  Recipe for seed 111: with perfbench/ on the path, run
     # workloads.FileQueries().make_pass(111, 14, work_dir) and copy
     # pass-14/polygon40-{rays,sharp-m1,sharp-m2}.json to
-    # tests/fixtures/polygon40-seed111-*.json.  Without its rays the seed-111
-    # theory gives 0.9270401000976562; with them linalg.solve_lp cycles
-    # (ROADMAP item 1).
+    # tests/fixtures/polygon40-seed111-*.json.  With its rays the seed-111
+    # theory made a simplex without the Harris ratio test cycle.
     theory_path = str(FIXTURES / f"polygon40-seed{seed}-rays.json")
     m_paths = [str(FIXTURES / f"polygon40-seed{seed}-sharp-m{i}.json") for i in (1, 2)]
     t = theory_from_file(theory_path)
@@ -325,26 +310,18 @@ def _seed202_degree(rays: str) -> float:
 # on it whose true degree is 0.5.  Recipe: with perfbench/ on the path, run
 # workloads.FileQueries().make_pass(202, 6, work_dir) and copy
 # pass-6/hypercube2-{norays,rays,sharp-m1,sharp-m2}.json to
-# tests/fixtures/hypercube2-seed202-*.json.  Both tests fail while
-# linalg.solve_lp calls LPs at infeasible points optimal (ROADMAP item 1).
+# tests/fixtures/hypercube2-seed202-*.json.  A simplex without the Harris
+# ratio test called LPs optimal at infeasible points on the theory without
+# rays (degree 0.50006103515625) and a feasible LP infeasible on the one
+# with them.
 SEED202_DEGREE_RANGE = (0.5 - 2e-6, 0.5 + 1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="defect C: solve_lp calls two bisection LPs optimal at infeasible points, degree 0.50006103515625",
-)
 def test_degree_on_seed202_square_without_rays():
     lo, hi = SEED202_DEGREE_RANGE
     assert lo <= _seed202_degree("norays") <= hi
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=SolverError,
-    reason="defect B: phase one calls the lam = 1/2 LP infeasible, so the bisection raises SolverError",
-)
 def test_degree_on_seed202_square_with_rays():
     lo, hi = SEED202_DEGREE_RANGE
     assert lo <= _seed202_degree("rays") <= hi

@@ -6,6 +6,7 @@ import util
 from gptrat import (
     InputError,
     Measurement,
+    SolverError,
     check_compatible,
     dichotomic_measurement,
     harmonic_joint,
@@ -17,6 +18,9 @@ from gptrat import (
     post_process,
     trivial_measurement,
 )
+from gptrat import linalg
+from gptrat.jointness import _joint_lp
+from gptrat.linalg import LpProblem, kron, solve_lp
 from gptrat.polygons import odd_polygon_compatible_pair
 from gptrat.zoo import hypercube, polygon, polygon_ray, simplex
 
@@ -187,7 +191,7 @@ def test_square_ray_pair_degree_is_one_half():
     t = polygon(4)
     m, n = _ray_pair(t, 1, 2)
     report = incompatibility_degree(m, n, t)
-    # the bisection bracket is below 1e-6 and its lower end is reported
+    # 1/(1 + s*) for the least noise s* = 1, within the oracle's 1e-6
     assert 0.5 - 1e-6 <= report.degree <= 0.5
     p, q = report.optimal_trivials
     np.testing.assert_allclose(p.sum(), 1.0, atol=1e-9)
@@ -227,6 +231,83 @@ def test_degree_never_below_one_half():
             report = incompatibility_degree(m, n, t)
             assert report.degree >= 0.5 - 1e-6
             assert report.degree <= 1.0
+
+
+def _bisection_degree(m1, m2, theory):
+    """Oracle: the largest lam in [1/2, 1] at which lam M + (1 - lam) p u and
+    lam N + (1 - lam) q u have a joint for some distributions p, q, bisected
+    to a bracket below 1e-6 with one feasibility LP per step; returns the
+    bracket's lower end.  The noise variables are (1 - lam) p and
+    (1 - lam) q, so no column shrinks as lam nears 1."""
+    c1, c2 = m1.num_outcomes, m2.num_outcomes
+    _, _, cone = _joint_lp([m1, m2], theory.backend.dual_rays)
+    nbeta = cone.shape[1]
+    sums = np.zeros((2, nbeta + c1 + c2))
+    sums[0, nbeta : nbeta + c1] = 1.0
+    sums[1, nbeta + c1 :] = 1.0
+    A = np.vstack([np.hstack([cone, -kron(np.eye(c1 + c2), theory.unit[:, None])]), sums])
+    effects = np.concatenate([m1.effects.ravel(), m2.effects.ravel()])
+
+    def feasible(lam):
+        b = np.concatenate([lam * effects, [1.0 - lam, 1.0 - lam]])
+        return solve_lp(LpProblem(np.zeros(A.shape[1]), A, b)).status == "optimal"
+
+    lo, hi = 0.5, 1.0
+    assert feasible(lo)
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo
+
+
+def _three_outcome(theory, rng):
+    """(a r1, b r2, u - a r1 - b r2) for random dual rays r1, r2 and a, b in
+    [0.3, 0.5], valid because every ray lies below the unit."""
+    rays = theory.backend.dual_rays
+    r1, r2 = rays[rng.choice(rays.shape[0], 2, replace=False)]
+    a, b = rng.uniform(0.3, 0.5, 2)
+    return Measurement(("a", "b", "c"), np.vstack([a * r1, b * r2, theory.unit - a * r1 - b * r2]))
+
+
+def test_degree_agrees_with_bisection_oracle():
+    rng = np.random.default_rng(20)
+    bases = [polygon(n) for n in range(4, 13)] + [hypercube(2), hypercube(3), simplex(4)]
+    below_one = 0
+    for base in bases:
+        t = util.rotated(base, rng)
+        pairs = [
+            (util.random_extreme_dichotomic(t, rng), util.random_extreme_dichotomic(t, rng)),
+            (util.random_noisy_dichotomic(t, rng), util.random_noisy_dichotomic(t, rng)),
+            (util.random_extreme_dichotomic(t, rng), _three_outcome(t, rng)),
+        ]
+        for m, n in pairs:
+            report = incompatibility_degree(m, n, t)
+            oracle = _bisection_degree(m, n, t)
+            assert oracle - 1e-9 <= report.degree <= oracle + 1e-6 + 1e-9, (t.name, report.degree, oracle)
+            if report.degree == 1.0:
+                continue
+            below_one += 1
+            lam = report.degree - 1e-9
+            smeared = [
+                Measurement(x.outcomes, lam * x.effects + (1.0 - lam) * np.outer(p, t.unit))
+                for x, p in zip((m, n), report.optimal_trivials)
+            ]
+            assert check_compatible(smeared, t) is not None, (t.name, report.degree)
+    assert below_one >= 15
+
+
+def test_degree_raises_when_the_solver_ends_at_an_infeasible_point(monkeypatch):
+    pivot = linalg._pivot
+
+    def perturbed(T, basis, row, col):
+        pivot(T, basis, row, col)
+        T[row, -1] += 1e-3
+
+    monkeypatch.setattr(linalg, "_pivot", perturbed)
+    t = polygon(4)
+    m, n = _ray_pair(t, 1, 2)
+    with pytest.raises(SolverError, match="infeasible point"):
+        incompatibility_degree(m, n, t)
 
 
 # ------------------------------------------------------ maximal incompatibility

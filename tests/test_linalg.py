@@ -49,6 +49,14 @@ def test_infeasible_detected():
     assert solve_lp(problem).status == "infeasible"
 
 
+@pytest.mark.parametrize("gap, status", [(5e-10, "optimal"), (5e-9, "infeasible")])
+def test_phase_one_decides_at_the_residual_tolerance(gap, status):
+    # x = 1 and x = 1 + gap leave an artificial at gap after phase one; past
+    # EPS no point could pass the residual check, so the LP is infeasible
+    problem = LpProblem(np.array([1.0]), np.array([[1.0], [1.0]]), np.array([1.0, 1.0 + gap]))
+    assert solve_lp(problem).status == status
+
+
 def test_unbounded_detected():
     problem = LpProblem(
         objective=np.array([1.0, 0.0]),
