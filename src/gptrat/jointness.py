@@ -114,7 +114,8 @@ def incompatibility_degree(m1: Measurement, m2: Measurement, theory: Theory) -> 
     the reported trivial parts are the uniform distributions.  Otherwise one
     LP finds the least total noise s = sum w = sum w' with w, w' >= 0 for
     which M_x + w_x u and N_y + w'_y u have a joint; then lam = 1 / (1 + s)
-    and the trivial parts are w / s and w' / s.  The tests pin the result
+    and the trivial parts are w / s and w' / s, each clipped at zero and
+    normalized by its own sum.  The tests pin the result
     within 1e-6 of a bisection oracle and check that the pair smeared at
     lam - 1e-9 with the returned trivials is compatible.
     """
@@ -125,20 +126,22 @@ def incompatibility_degree(m1: Measurement, m2: Measurement, theory: Theory) -> 
     c1, c2 = m1.num_outcomes, m2.num_outcomes
     _, _, cone = _joint_lp([m1, m2], theory.backend.dual_rays)
     nbeta = cone.shape[1]
-    # columns: cone coefficients, then w (c1) and w' (c2); the last row is
-    # sum w - sum w' = 0
-    A = np.vstack([
-        np.hstack([cone, -kron(np.eye(c1 + c2), theory.unit[:, None])]),
-        np.concatenate([np.zeros(nbeta), np.ones(c1), -np.ones(c2)]),
-    ])
-    b = np.concatenate([m1.effects.ravel(), m2.effects.ravel(), [0.0]])
+    # columns: cone coefficients, then w (c1) and w' (c2); sum w = sum w'
+    # needs no row: summing either marginal's rows gives (1 + sum) u = sum J
+    A = np.hstack([cone, -kron(np.eye(c1 + c2), theory.unit[:, None])])
+    b = np.concatenate([m1.effects.ravel(), m2.effects.ravel()])
     objective = np.concatenate([np.zeros(nbeta), -np.ones(c1), np.zeros(c2)])
     res = solve_lp(LpProblem(objective, A, b))
     s = -res.value
     if res.status != "optimal" or not 0.0 < s <= 1.0 + EPS:
         raise SolverError(f"degree LP ended with status {res.status} and noise {s}, outside (0, 1]")
-    noise = res.solution[nbeta:] / s
-    return DegreeReport(1.0 / (1.0 + s), (noise[:c1], noise[c1:]))
+    # w and w' may dip just below zero; clipped and normalized each on its
+    # own, they stay distributions however small s is
+    noise = np.clip(res.solution[nbeta:], 0.0, None)
+    trivials = (noise[:c1], noise[c1:])
+    if min(w.sum() for w in trivials) <= 0.0:
+        raise SolverError(f"degree LP ended with no positive noise weight on one side at noise {s}")
+    return DegreeReport(1.0 / (1.0 + s), tuple(w / w.sum() for w in trivials))
 
 
 def maximally_incompatible_dichotomic(m1: Measurement, m2: Measurement, theory: Theory) -> bool:

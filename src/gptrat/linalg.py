@@ -134,11 +134,7 @@ def _bland(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> str:
         # of these rows above -_DRIFT; of those rows the largest pivot
         # element leaves, then the smallest basis index
         ties = rows[rhs / pivots <= ((rhs + _DRIFT) / pivots).min()]
-        row = ties[0]
-        if ties.size > 1:
-            pivots = column[ties]
-            ties = ties[pivots == pivots.max()]
-            row = ties[np.argmin(basis[ties])]
+        row = ties[np.lexsort((basis[ties], -column[ties]))[0]]
         # a leaving value that drifted below zero steps by zero, not backwards
         if T[row, -1] < 0.0:
             T[row, -1] = 0.0

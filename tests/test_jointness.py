@@ -284,6 +284,8 @@ def test_degree_agrees_with_bisection_oracle():
             report = incompatibility_degree(m, n, t)
             oracle = _bisection_degree(m, n, t)
             assert oracle - 1e-9 <= report.degree <= oracle + 1e-6 + 1e-9, (t.name, report.degree, oracle)
+            for p in report.optimal_trivials:
+                assert p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-12, (t.name, p)
             if report.degree == 1.0:
                 continue
             below_one += 1
