@@ -16,6 +16,7 @@ degree of incompatibility is 1 when it is feasible, and otherwise the
 largest lam for which lam M + (1 - lam) p u and lam N + (1 - lam) q u stay
 compatible for some distributions p, q (the worst trivial noise), read off
 one LP as 1 / (1 + s) (Busch, Heinosaari, Schultz and Stevens, EPL 2013).
+A dichotomic pair is maximally incompatible when its degree is <= 1/2.
 """
 
 from __future__ import annotations
@@ -149,37 +150,10 @@ def maximally_incompatible_dichotomic(m1: Measurement, m2: Measurement, theory: 
 
     Happens exactly when four states t1..t4 exist with M(+) certain on t1, t2
     and impossible on t3, t4, N(+) certain on t1, t4 and impossible on t2, t3,
-    and t1 + t3 = t2 + t4 (an affine parallelogram).  Each t_i is searched as
-    a convex combination of the vertices lying on the corresponding faces.
+    and t1 + t3 = t2 + t4 (an affine parallelogram).  It is decided as
+    degree <= 1/2 (noise s = 1 in the degree LP), within EPS.
     """
-    V = require_polytope(theory, "the maximal-incompatibility test").extreme_states
+    require_polytope(theory, "the maximal-incompatibility test")
     if m1.num_outcomes != 2 or m2.num_outcomes != 2:
         raise InputError("both measurements must be dichotomic")
-    require_valid_measurements([m1, m2], theory, 2)
-    d = theory.ambient_dim
-    e_vals = V @ m1.effects[0]
-    f_vals = V @ m2.effects[0]
-    e_on, e_off = np.abs(e_vals - 1.0) <= EPS, np.abs(e_vals) <= EPS
-    f_on, f_off = np.abs(f_vals - 1.0) <= EPS, np.abs(f_vals) <= EPS
-    faces = [
-        np.nonzero(e_on & f_on)[0],  # t1
-        np.nonzero(e_off & f_on)[0],  # t2
-        np.nonzero(e_off & f_off)[0],  # t3
-        np.nonzero(e_on & f_off)[0],  # t4
-    ]
-    if any(idx.size == 0 for idx in faces):
-        return False
-    sizes = [idx.size for idx in faces]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    nvar = int(offsets[-1])
-    # rows: parallelogram t1 - t2 + t3 - t4 = 0, plus one normalization per state
-    A = np.zeros((d + 4, nvar))
-    b = np.zeros(d + 4)
-    signs = [1.0, -1.0, 1.0, -1.0]
-    for i, idx in enumerate(faces):
-        cols = slice(offsets[i], offsets[i + 1])
-        A[:d, cols] = signs[i] * V[idx].T
-        A[d + i, cols] = 1.0
-        b[d + i] = 1.0
-    res = solve_lp(LpProblem(np.zeros(nvar), A, b))
-    return res.status == "optimal"
+    return incompatibility_degree(m1, m2, theory).degree <= 0.5 + EPS

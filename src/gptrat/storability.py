@@ -8,10 +8,10 @@ extreme rays of the dual cone, which reduces the supremum to one LP:
 
     maximize sum_i alpha_i   subject to   sum_i alpha_i ray_i = u,  alpha >= 0.
 
-The LP is always solved.  When every dual ray takes one common value lam0
-at some interior state (detected at the vertex centroid), every feasible
-point of that LP has objective 1 / lam0; that value is reported and the LP
-optimum is cross-checked against it, which exposes a faulty LP solution.
+Its dual is minimize u . y subject to ray_i . y >= 1 for every i.  The
+solver's dual vector y is checked in numpy: if every ray_i . y >= 1 - EPS
+and u . y matches the LP value, weak duality makes that value optimal on
+every polytope theory, so a faulty LP solution cannot be reported.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .linalg import EPS, LpProblem, solve_lp
 class StorabilityReport:
     value: float
     witness_measurement: Measurement
-    method: str  # "lp", "constant_lambda0", or "closed_form"
+    method: str  # "lp" or "closed_form"
 
 
 def decoding_power(m: Measurement, theory: Theory) -> float:
@@ -56,8 +56,7 @@ def information_storability(theory: Theory) -> StorabilityReport:
         witness = Measurement(("+", "-"), np.vstack([effect, theory.unit - effect]))
         return StorabilityReport(2.0, witness, "closed_form")
 
-    backend = require_polytope(theory, "the storability LP")
-    rays = backend.dual_rays
+    rays = require_polytope(theory, "the storability LP").dual_rays
     R = rays.shape[0]
     res = solve_lp(LpProblem(np.ones(R), rays.T, theory.unit))
     if res.status != "optimal":
@@ -68,17 +67,13 @@ def information_storability(theory: Theory) -> StorabilityReport:
         tuple(int(i) for i in np.nonzero(keep)[0]),
         alpha[keep, None] * rays[keep],
     )
-
-    centroid = backend.extreme_states.mean(axis=0)
-    vals = rays @ centroid
-    if vals.max() - vals.min() <= EPS:
-        lam0 = float(vals.mean())
-        value = 1.0 / lam0
-        if abs(value - res.value) > EPS:
-            raise SolverError(
-                f"constant-value shortcut ({value}) disagrees with LP ({res.value})"
-            )
-        return StorabilityReport(value, witness, "constant_lambda0")
+    y = res.duals
+    slack = 1.0 - float((rays @ y).min())
+    gap = abs(float(theory.unit @ y) - res.value)
+    if slack > EPS or gap > EPS * max(1.0, res.value):
+        raise SolverError(
+            f"storability LP dual fails on {theory.name}: constraint shortfall {slack:.3g}, duality gap {gap:.3g}"
+        )
     return StorabilityReport(float(res.value), witness, "lp")
 
 

@@ -20,7 +20,7 @@ from gptrat import (
 )
 from gptrat import linalg
 from gptrat.jointness import _joint_lp
-from gptrat.linalg import LpProblem, kron, solve_lp
+from gptrat.linalg import EPS, LpProblem, kron, solve_lp
 from gptrat.polygons import odd_polygon_compatible_pair
 from gptrat.zoo import hypercube, polygon, polygon_ray, simplex
 
@@ -342,6 +342,69 @@ def test_tetrahedron_pair_is_not_maximally_incompatible():
     n = dichotomic_measurement(t, np.array([1.0, 0.0, 1.0, 0.0]))
     assert not maximally_incompatible_dichotomic(m, n, t)
     assert incompatibility_degree(m, n, t).degree == 1.0
+
+
+def _parallelogram_oracle(m1, m2, theory):
+    """Oracle: four states t1..t4 with M(+) certain on t1, t2 and impossible
+    on t3, t4, N(+) certain on t1, t4 and impossible on t2, t3, and
+    t1 + t3 = t2 + t4, each searched as a convex combination of the vertices
+    on its face, by one feasibility LP."""
+    V = theory.backend.extreme_states
+    d = theory.ambient_dim
+    e_vals = V @ m1.effects[0]
+    f_vals = V @ m2.effects[0]
+    e_on, e_off = np.abs(e_vals - 1.0) <= EPS, np.abs(e_vals) <= EPS
+    f_on, f_off = np.abs(f_vals - 1.0) <= EPS, np.abs(f_vals) <= EPS
+    faces = [
+        np.nonzero(e_on & f_on)[0],  # t1
+        np.nonzero(e_off & f_on)[0],  # t2
+        np.nonzero(e_off & f_off)[0],  # t3
+        np.nonzero(e_on & f_off)[0],  # t4
+    ]
+    if any(idx.size == 0 for idx in faces):
+        return False
+    offsets = np.concatenate([[0], np.cumsum([idx.size for idx in faces])])
+    nvar = int(offsets[-1])
+    # rows: parallelogram t1 - t2 + t3 - t4 = 0, plus one normalization per state
+    A = np.zeros((d + 4, nvar))
+    b = np.zeros(d + 4)
+    for i, (idx, sign) in enumerate(zip(faces, [1.0, -1.0, 1.0, -1.0])):
+        cols = slice(offsets[i], offsets[i + 1])
+        A[:d, cols] = sign * V[idx].T
+        A[d + i, cols] = 1.0
+        b[d + i] = 1.0
+    return solve_lp(LpProblem(np.zeros(nvar), A, b)).status == "optimal"
+
+
+def test_maximal_incompatibility_agrees_with_parallelogram_oracle():
+    bases = [polygon(n) for n in range(4, 11)] + [hypercube(2), hypercube(3), simplex(3), simplex(4)]
+    # every pair of dual-ray measurements on the stock theories
+    maximal, other_degrees = 0, []
+    for t in bases:
+        for k, (m, n) in enumerate(util.ray_pairs(t)):
+            flagged = maximally_incompatible_dichotomic(m, n, t)
+            assert flagged == _parallelogram_oracle(m, n, t), (t.name, k)
+            if flagged:
+                maximal += 1
+            else:
+                other_degrees.append(incompatibility_degree(m, n, t).degree)
+    assert len(other_degrees) + maximal == 191
+    assert maximal == 20
+    # the verdict sits far from the EPS cutoff
+    assert min(other_degrees) >= 2.0 / 3.0 - 1e-9
+
+    # sharp and noisy pairs on rotated theories, where exact zeros are round-off
+    rng = np.random.default_rng(21)
+    rotated_maximal = 0
+    for base in bases:
+        t = util.rotated(base, rng)
+        for _ in range(3):
+            for draw in (util.random_extreme_dichotomic, util.random_noisy_dichotomic):
+                m, n = draw(t, rng), draw(t, rng)
+                flagged = maximally_incompatible_dichotomic(m, n, t)
+                assert flagged == _parallelogram_oracle(m, n, t), (t.name, draw.__name__)
+                rotated_maximal += flagged
+    assert rotated_maximal >= 3
 
 
 def test_maximal_incompatibility_requires_dichotomic():

@@ -1,0 +1,42 @@
+"""Headline answers do not move under a unit-fixing linear map.
+
+States go through A = D [[B, c], [0, 1]] and rays through A^-1, so every
+pairing r . s, and with it every answer, is unchanged; only the LPs'
+coefficients are rescaled.  The two cases push the condition number of B
+and the coordinate scaling D one at a time.
+"""
+
+import numpy as np
+import pytest
+
+import util
+
+from gptrat import (
+    incompatibility_degree,
+    information_storability,
+    maximally_incompatible_dichotomic,
+    validate_theory,
+)
+from gptrat.zoo import hypercube, polygon
+
+BASES = [polygon(n) for n in range(4, 11)] + [hypercube(2), hypercube(3)]
+TOL = 1e-9
+
+
+@pytest.mark.parametrize(
+    "condition, scale",
+    [(1e3, 1.0), (10.0, 1e3)],
+    ids=["condition-1e3", "scaling-1e3"],
+)
+def test_answers_invariant_under_unit_fixing_map(condition, scale):
+    rng = np.random.default_rng(61)
+    for base in BASES:
+        A = util.unit_fixing_map(rng, base.ambient_dim, condition, scale)
+        assert np.linalg.cond(A[:-1, :-1]) >= 0.5 * max(condition, scale)
+        t = util.mapped(base, A)
+        validate_theory(t)
+        assert abs(information_storability(t).value - information_storability(base).value) <= TOL
+        for (m, n), (mm, nm) in zip(util.ray_pairs(base), util.ray_pairs(t)):
+            degree = incompatibility_degree(mm, nm, t).degree
+            assert abs(degree - incompatibility_degree(m, n, base).degree) <= TOL, base.name
+            assert maximally_incompatible_dichotomic(mm, nm, t) == maximally_incompatible_dichotomic(m, n, base)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from gptrat import (
     InputError,
     Measurement,
     Polytope,
+    SolverError,
     Theory,
     decoding_power,
     dichotomic_measurement,
@@ -20,6 +22,7 @@ from gptrat import (
     restricted_storability,
     trivial_measurement,
 )
+from gptrat import storability
 from gptrat.zoo import hypercube, polygon, polygon_ray, qubit2, rebit, simplex
 
 
@@ -43,7 +46,7 @@ def test_decoding_power_rejects_invalid_measurement():
 def test_storability_even_polygons(n):
     report = information_storability(polygon(n))
     np.testing.assert_allclose(report.value, 2.0, atol=1e-9)
-    assert report.method == "constant_lambda0"
+    assert report.method == "lp"
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
@@ -100,6 +103,21 @@ def test_storability_lp_path_on_irregular_polytope():
     )
     assert res.status == 0
     np.testing.assert_allclose(report.value, -res.fun, atol=1e-9)
+
+
+@pytest.mark.parametrize("value_scale, dual_scale", [(0.99, 0.99), (0.99, 1.0)])
+def test_storability_rejects_a_suboptimal_lp_result(monkeypatch, value_scale, dual_scale):
+    # scaled duals fall short of R y >= 1; a scaled value alone leaves a
+    # duality gap; either way the value is not certified optimal
+    solve = storability.solve_lp
+
+    def suboptimal(problem):
+        res = solve(problem)
+        return replace(res, value=value_scale * res.value, duals=dual_scale * res.duals)
+
+    monkeypatch.setattr(storability, "solve_lp", suboptimal)
+    with pytest.raises(SolverError, match="dual fails"):
+        information_storability(polygon(5))
 
 
 def test_restricted_storability():

@@ -36,6 +36,17 @@ def uniform_ray_measurement(theory: Theory) -> Measurement:
     return Measurement(tuple(range(rays.shape[0])), scale * rays)
 
 
+def ray_pairs(theory: Theory) -> list[tuple[Measurement, Measurement]]:
+    """(r_i, u - r_i) with (r_j, u - r_j) for every pair i < j of dual rays."""
+    rays = theory.backend.dual_rays
+    R = rays.shape[0]
+    return [
+        (dichotomic_measurement(theory, rays[i]), dichotomic_measurement(theory, rays[j]))
+        for i in range(R)
+        for j in range(i + 1, R)
+    ]
+
+
 def random_post_processing(parent: Measurement, rng: np.random.Generator, n_out: int) -> Measurement:
     nu = random_stochastic(rng, parent.num_outcomes, n_out)
     return post_process(parent, nu)
@@ -88,3 +99,29 @@ def rotated(theory: Theory, rng: np.random.Generator) -> Theory:
     M = basis @ turn @ basis.T
     b = theory.backend
     return Theory(theory.name, d, u.copy(), Polytope(b.extreme_states @ M.T, b.dual_rays @ M.T))
+
+
+def unit_fixing_map(rng: np.random.Generator, d: int, condition: float, scale: float) -> np.ndarray:
+    """A = D [[B, c], [0, 1]] for a unit u = (0, ..., 0, 1).
+
+    B is (d-1) x (d-1) with singular values log-spaced from 1 down to
+    1 / condition between random orthogonal factors, c is a standard normal
+    shift, and D = diag(scale, 1 / scale, scale, ..., 1), so the last row
+    of A stays (0, ..., 0, 1) and u A = u.
+    """
+    k = d - 1
+    left = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    right = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    A = np.eye(d)
+    A[:k, :k] = left @ np.diag(np.logspace(0.0, -np.log10(condition), k)) @ right
+    A[:k, k] = rng.standard_normal(k)
+    D = np.append(scale ** np.where(np.arange(k) % 2 == 0, 1.0, -1.0), 1.0)
+    return D[:, None] * A
+
+
+def mapped(theory: Theory, A: np.ndarray) -> Theory:
+    """The polytope theory with states mapped by A and rays by A^-1 (as rows),
+    so every pairing r . s is unchanged; A must fix the unit (u A = u)."""
+    b = theory.backend
+    rays = np.linalg.solve(A.T, b.dual_rays.T).T
+    return Theory(theory.name, theory.ambient_dim, theory.unit.copy(), Polytope(b.extreme_states @ A.T, rays))
