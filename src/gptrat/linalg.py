@@ -26,6 +26,8 @@ EPS = 1e-9
 
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 50_000
+# consecutive degenerate pivots after which a phase enters by Bland's rule
+_DEGENERATE_RUN = 50
 # how far below zero the ratio test lets a basic value drift
 _DRIFT = 1e-10
 
@@ -90,13 +92,15 @@ class LpResult:
 
     status is one of "optimal", "infeasible", "unbounded".  For an optimal
     result, value == objective . solution and duals holds one multiplier per
-    equality row (zero for rows detected as redundant).
+    equality row (zero for rows detected as redundant).  pivots counts the
+    simplex pivots of both phases.
     """
 
     status: str
     value: float
     solution: np.ndarray | None
     duals: np.ndarray | None
+    pivots: int
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -117,42 +121,72 @@ def _set_objective_row(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> No
     T[-1, -1] = -(c_basic @ T[:m, -1])
 
 
-def _bland(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> str:
+def _simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> tuple[str, int]:
+    """Pivot T to the end of one phase; return the status and the pivot count."""
     m = T.shape[0] - 1
-    for _ in range(_MAX_PIVOTS):
+    degenerate = 0
+    for pivots in range(_MAX_PIVOTS):
         reduced = T[-1, :-1]
-        candidates = np.nonzero(allowed & (reduced > EPS))[0]
+        candidates = np.flatnonzero(allowed & (reduced > EPS))
         if candidates.size == 0:
-            return "optimal"
-        col = candidates[0]
+            return "optimal", pivots
+        # Dantzig: the largest reduced cost enters, the smallest index on a
+        # tie; after a run of degenerate pivots, Bland: the smallest index
+        if degenerate < _DEGENERATE_RUN:
+            col = candidates[reduced[candidates].argmax()]
+        else:
+            col = candidates[0]
         column = T[:m, col]
         rows = np.nonzero(column > _PIVOT_TOL)[0]
         if rows.size == 0:
-            return "unbounded"
-        rhs, pivots = T[rows, -1], column[rows]
+            return "unbounded", pivots
+        rhs, elements = T[rows, -1], column[rows]
         # Harris: leaving at a ratio below the bound keeps the basic values
         # of these rows above -_DRIFT; of those rows the largest pivot
         # element leaves, then the smallest basis index
-        ties = rows[rhs / pivots <= ((rhs + _DRIFT) / pivots).min()]
+        ties = rows[rhs / elements <= ((rhs + _DRIFT) / elements).min()]
         row = ties[np.lexsort((basis[ties], -column[ties]))[0]]
         # a leaving value that drifted below zero steps by zero, not backwards
         if T[row, -1] < 0.0:
             T[row, -1] = 0.0
+        if degenerate < _DEGENERATE_RUN:
+            degenerate = degenerate + 1 if T[row, -1] <= _DRIFT else 0
         _pivot(T, basis, row, col)
     raise SolverError("simplex failed to terminate")
+
+
+def _drive_out(T: np.ndarray, basis: np.ndarray, n_ext: int) -> list[int]:
+    """Pivot leftover artificials (basis index >= n_ext) out of the basis
+    after phase one, each on the entry of largest magnitude in its row, so
+    an artificial left at level v moves the entering variable by at most
+    v over that entry.  Return the rows whose artificial cannot be
+    replaced (no entry above 1e-8): they are redundant."""
+    drop = []
+    for i in np.flatnonzero(basis >= n_ext):
+        entries = np.abs(T[i, :n_ext])
+        if entries.max(initial=0.0) > 1e-8:
+            _pivot(T, basis, i, entries.argmax())
+        else:
+            drop.append(int(i))
+    return drop
 
 
 def solve_lp(problem: LpProblem) -> LpResult:
     """Solve an equality-form LP by the two-phase tableau simplex method.
 
-    The smallest eligible index enters (Bland's rule).  In Harris's ratio
-    test, of the rows whose step keeps the other basic values above
-    -_DRIFT, the largest pivot element leaves, then the smallest basic
-    index, so a sound row beats round-off noise.  Bland's termination proof
-    then no longer holds; the _MAX_PIVOTS cap ends the search with
-    SolverError.  Phase one calls the LP infeasible when its artificials sum
-    to more than EPS times scale = max(1, |b|_inf), and drops the rows it
-    finds redundant.  The result is "optimal" only if
+    The eligible column with the largest reduced cost enters (Dantzig's
+    rule).  After _DEGENERATE_RUN consecutive degenerate pivots, whose
+    leaving value is within _DRIFT of zero, the smallest eligible index
+    enters (Bland's rule) for the rest of that phase, which ends the
+    degenerate cycles the largest reduced cost can fall into.  In Harris's ratio test, of the rows whose step
+    keeps the other basic values above -_DRIFT, the largest pivot element
+    leaves, then the smallest basic index, so a sound row beats round-off
+    noise.  Bland's termination proof then no longer holds; the _MAX_PIVOTS
+    cap ends the search with SolverError.  Phase one calls the LP
+    infeasible when its artificials sum to more than EPS times scale =
+    max(1, |b|_inf); each artificial left in the basis then leaves on the
+    largest entry of its row, and a row with no entry above 1e-8 is
+    redundant and dropped.  The result is "optimal" only if
     |A x - b|_inf <= EPS scale and x >= -EPS where sign-constrained;
     otherwise SolverError, and x is never returned.
     """
@@ -187,36 +221,26 @@ def solve_lp(problem: LpProblem) -> LpResult:
     cost1 = np.zeros(width - 1)
     cost1[n_ext:] = -1.0
     _set_objective_row(T, basis, cost1)
-    _bland(T, basis, allowed)
+    _, pivots = _simplex(T, basis, allowed)
     # phase one decides at the tolerance of the residual check below
     scale = max(1.0, np.abs(b0).max(initial=0.0))
     if -T[-1, -1] < -EPS * scale:
-        return LpResult("infeasible", float("nan"), None, None)
+        return LpResult("infeasible", float("nan"), None, None, pivots)
 
-    # drive leftover artificials out of the basis; a row whose artificial
-    # cannot be replaced is redundant and gets dropped
-    orig_row = list(range(m))
-    drop: list[int] = []
-    for i in range(T.shape[0] - 1):
-        if basis[i] >= n_ext:
-            pivot_cols = np.nonzero(np.abs(T[i, :n_ext]) > 1e-8)[0]
-            if pivot_cols.size:
-                _pivot(T, basis, i, pivot_cols[0])
-            else:
-                drop.append(i)
+    drop = _drive_out(T, basis, n_ext)
+    orig_row = [i for i in range(m) if i not in drop]
     if drop:
-        keep = [i for i in range(T.shape[0] - 1) if i not in set(drop)]
-        orig_row = [orig_row[i] for i in keep]
-        T = T[keep + [T.shape[0] - 1]]
-        basis = basis[keep]
+        T = T[orig_row + [m]]
+        basis = basis[orig_row]
 
     # phase two with the real objective
     cost2 = np.zeros(width - 1)
     cost2[:n_ext] = c_ext
     _set_objective_row(T, basis, cost2)
-    status = _bland(T, basis, allowed)
+    status, phase_two = _simplex(T, basis, allowed)
+    pivots += phase_two
     if status == "unbounded":
-        return LpResult("unbounded", float("nan"), None, None)
+        return LpResult("unbounded", float("nan"), None, None, pivots)
 
     m_live = T.shape[0] - 1
     x_ext = np.zeros(n_ext)
@@ -236,7 +260,7 @@ def solve_lp(problem: LpProblem) -> LpResult:
     if residual > EPS or x[nonneg].min(initial=0.0) < -EPS:
         raise SolverError(f"simplex ended at an infeasible point (relative residual {residual:.3g})")
     value = float(c0 @ x)
-    return LpResult("optimal", value, x, duals)
+    return LpResult("optimal", value, x, duals, pivots)
 
 
 @dataclass(frozen=True)

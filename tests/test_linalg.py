@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 import util
-from gptrat import InputError, LpProblem, enumerate_facets, linalg, solve_lp
+from gptrat import InputError, LpProblem, SolverError, enumerate_facets, linalg, solve_lp
 from gptrat.linalg import EPS, Facet
 from gptrat.zoo import hypercube, polygon, simplex
 
@@ -76,6 +76,62 @@ def test_redundant_rows_are_tolerated():
     res = solve_lp(problem)
     assert res.status == "optimal"
     np.testing.assert_allclose(res.value, 2.0, atol=1e-12)
+
+
+# Beale's cycling LP (1955): minimize -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7
+# with slacks x1, x2, x3; the optimum is -1/20 at x = (3/100, 0, 0, 1/25,
+# 0, 1, 0)
+BEALE_A = np.array(
+    [
+        [1.0, 0.0, 0.0, 1 / 4, -60.0, -1 / 25, 9.0],
+        [0.0, 1.0, 0.0, 1 / 2, -90.0, -1 / 50, 3.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+    ]
+)
+BEALE_B = np.array([0.0, 0.0, 1.0])
+BEALE_C = np.array([0.0, 0.0, 0.0, 3 / 4, -150.0, 1 / 50, -6.0])
+BEALE_X = np.array([3 / 100, 0.0, 0.0, 1 / 25, 0.0, 1.0, 0.0])
+# x = BEALE_UNITS * y: in these units phase one ends at the slack basis,
+# from which the largest reduced cost and Harris's leaving rule repeat
+# Beale's six degenerate pivots forever
+BEALE_UNITS = np.array([1.0, 4.0, 2.0, 1 / 4, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("units", [np.ones(7), BEALE_UNITS], ids=["textbook", "rescaled"])
+def test_beale_cycling_lp_reaches_its_optimum(units):
+    res = solve_lp(LpProblem(BEALE_C * units, BEALE_A * units, BEALE_B))
+    assert res.status == "optimal"
+    assert abs(res.value - 1 / 20) <= 1e-12
+    np.testing.assert_allclose(res.solution * units, BEALE_X, atol=1e-12)
+
+
+def test_degenerate_run_switches_to_smallest_index(monkeypatch):
+    problem = LpProblem(BEALE_C * BEALE_UNITS, BEALE_A * BEALE_UNITS, BEALE_B)
+    assert solve_lp(problem).pivots > linalg._DEGENERATE_RUN
+    # without the switch the largest reduced cost cycles until the cap
+    monkeypatch.setattr(linalg, "_MAX_PIVOTS", 1000)
+    monkeypatch.setattr(linalg, "_DEGENERATE_RUN", linalg._MAX_PIVOTS)
+    with pytest.raises(SolverError, match="terminate"):
+        solve_lp(problem)
+
+
+def test_drive_out_pivots_on_the_largest_entry():
+    # after phase one: an artificial (column 3) basic at 1e-10 in row 0,
+    # whose first entry above 1e-8 is tiny and of the wrong sign, x2 basic
+    # in row 1, and a redundant row 2 whose artificial cannot leave
+    T = np.array(
+        [
+            [-2e-8, 0.5, 0.0, 1.0, 0.0, 0.0, 1e-10],
+            [1.0, 0.3, 1.0, 0.0, 1.0, 0.0, 0.7],
+            [0.0, 1e-9, 0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    basis = np.array([3, 2, 5])
+    assert linalg._drive_out(T, basis, 3) == [2]
+    assert basis.tolist() == [1, 2, 5]
+    # the first entry would have set x0 = -0.005 and x2 = 0.705
+    np.testing.assert_allclose(T[:2, -1], [2e-10, 0.7 - 0.3 * 2e-10], rtol=0, atol=1e-15)
 
 
 def test_square_ray_weights():

@@ -2,8 +2,9 @@
 
 States go through A = D [[B, c], [0, 1]] and rays through A^-1, so every
 pairing r . s, and with it every answer, is unchanged; only the LPs'
-coefficients are rescaled.  The two cases push the condition number of B
-and the coordinate scaling D one at a time.
+coefficients are rescaled.  The first two cases push the condition number
+of B and the coordinate scaling D one at a time; the combined case pushes
+both.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import util
 
 from gptrat import (
+    SolverError,
     incompatibility_degree,
     information_storability,
     maximally_incompatible_dichotomic,
@@ -40,3 +42,25 @@ def test_answers_invariant_under_unit_fixing_map(condition, scale):
             degree = incompatibility_degree(mm, nm, t).degree
             assert abs(degree - incompatibility_degree(m, n, base).degree) <= TOL, base.name
             assert maximally_incompatible_dichotomic(mm, nm, t) == maximally_incompatible_dichotomic(m, n, base)
+
+
+def test_ill_scaled_degrees_are_right_or_raise():
+    # condition 1e3 and scaling 1e3 together, three maps per theory: LP
+    # entries reach about 4e5, and the solver may give up (SolverError) but
+    # must never return a wrong degree
+    rng = np.random.default_rng(61)
+    answered = errors = 0
+    for base in BASES:
+        want = [incompatibility_degree(m, n, base).degree for m, n in util.ray_pairs(base)]
+        for _ in range(3):
+            t = util.mapped(base, util.unit_fixing_map(rng, base.ambient_dim, 1e3, 1e3))
+            for (m, n), degree in zip(util.ray_pairs(t), want):
+                try:
+                    got = incompatibility_degree(m, n, t).degree
+                except SolverError:
+                    errors += 1
+                    continue
+                assert abs(got - degree) <= TOL, base.name
+                answered += 1
+    assert answered + errors == 546
+    assert answered >= 540
