@@ -4,11 +4,13 @@ Exit codes: 0 success, 1 usage error, 2 file parse error, 3 validation
 error, 4 I/O error, 5 solver error (the LP solver reached no trustworthy
 verdict).  Scalar results print with 9 decimal places; structured
 results print as JSON with sorted keys, so output is byte-stable across runs.
+main builds its parser once per process and keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,6 +34,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gptrat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

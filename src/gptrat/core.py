@@ -16,6 +16,8 @@ with a maximizing state, effect validity, and structural validation):
   Norms and validity have closed forms.
 
 Operations that need vertices or dual rays go through require_polytope.
+Theory and Polytope keep read-only float copies of their arrays, so a
+Theory can cache what it derives from them (Theory.storability).
 Validity checks are explicit operations rather than construction-time gates,
 so intentionally invalid objects can be built for negative tests.  Every
 validity decision uses linalg.EPS, except that Polytope.validate requires
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Union
 
@@ -39,6 +42,13 @@ EffectVec = np.ndarray
 StochasticMatrix = np.ndarray
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy: the caller's array stays writable."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Polytope:
     extreme_states: np.ndarray  # (N, d), one state per row
@@ -46,10 +56,10 @@ class Polytope:
     extreme_effects: np.ndarray | None = None  # nontrivial extreme effects when known
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "extreme_states", np.asarray(self.extreme_states, dtype=float))
-        object.__setattr__(self, "dual_rays", np.asarray(self.dual_rays, dtype=float))
+        object.__setattr__(self, "extreme_states", _frozen(self.extreme_states))
+        object.__setattr__(self, "dual_rays", _frozen(self.dual_rays))
         if self.extreme_effects is not None:
-            object.__setattr__(self, "extreme_effects", np.asarray(self.extreme_effects, dtype=float))
+            object.__setattr__(self, "extreme_effects", _frozen(self.extreme_effects))
 
     def norm_with_argmax(self, f: EffectVec) -> tuple[float, int]:
         vals = self.extreme_states @ f
@@ -131,9 +141,15 @@ class Theory:
     backend: Backend
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unit", np.asarray(self.unit, dtype=float))
+        object.__setattr__(self, "unit", _frozen(self.unit))
         if self.unit.shape != (self.ambient_dim,):
             raise InputError("unit functional has the wrong dimension")
+
+    @cached_property
+    def storability(self):
+        """The StorabilityReport, solved once per Theory object."""
+        from .storability import solve_storability
+        return solve_storability(self)
 
     @property
     def vertices(self) -> np.ndarray:

@@ -257,8 +257,12 @@ def solve_lp(problem: LpProblem) -> LpResult:
         duals[orig] = -T[-1, n_ext + orig] * row_sign[orig]
 
     residual = np.abs(A0 @ x - b0).max(initial=0.0) / scale
-    if residual > EPS or x[nonneg].min(initial=0.0) < -EPS:
-        raise SolverError(f"simplex ended at an infeasible point (relative residual {residual:.3g})")
+    lowest = x[nonneg].min(initial=0.0)
+    if residual > EPS or lowest < -EPS:
+        raise SolverError(
+            "simplex ended at an infeasible point (relative residual "
+            f"{residual:.3g}, most negative sign-constrained entry {lowest:.3g})"
+        )
     value = float(c0 @ x)
     return LpResult("optimal", value, x, duals, pivots)
 

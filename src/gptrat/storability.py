@@ -47,7 +47,12 @@ def decoding_power(m: Measurement, theory: Theory) -> float:
 
 
 def information_storability(theory: Theory) -> StorabilityReport:
-    """Supremum of decoding power over all measurements of the theory."""
+    """Supremum of decoding power over all measurements of the theory,
+    computed once per Theory object (Theory.storability)."""
+    return theory.storability
+
+
+def solve_storability(theory: Theory) -> StorabilityReport:
     if isinstance(theory.backend, Ball):
         # the sharp measurement along the last axis has two effects of norm 1
         half_axis = np.zeros(theory.ambient_dim)

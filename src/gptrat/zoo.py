@@ -90,7 +90,7 @@ def simplex(d: int) -> Theory:
     if d < 2:
         raise InputError("simplex needs at least 2 states")
     eye = np.eye(d)
-    backend = Polytope(eye, dual_rays=eye.copy())
+    backend = Polytope(eye, dual_rays=eye)
     return Theory(f"simplex-{d}", d, np.ones(d), backend)
 
 

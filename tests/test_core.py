@@ -428,6 +428,22 @@ def test_validate_theory_rejects_negative_ray():
         validate_theory(bad)
 
 
+def test_theory_arrays_are_read_only_copies():
+    stock = polygon(5)
+    unit, states = stock.unit.copy(), stock.vertices.copy()
+    rays, effects = stock.backend.dual_rays.copy(), stock.backend.extreme_effects.copy()
+    t = Theory("pentagon", 3, unit, Polytope(states, rays, effects))
+    for a in (t.unit, t.vertices, t.backend.dual_rays, t.backend.extreme_effects):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    for a in (unit, states, rays, effects):
+        assert a.flags.writeable
+        a[0] = 0.0
+    np.testing.assert_array_equal(t.vertices, stock.vertices)
+    np.testing.assert_array_equal(t.backend.dual_rays, stock.backend.dual_rays)
+
+
 @pytest.mark.parametrize("part", ["vertex", "ray", "unit"])
 def test_validate_theory_rejects_non_finite_numbers(part):
     good = polygon(4)

@@ -558,3 +558,28 @@ def test_cli_process_level_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1.000000000"
+
+
+def test_repeated_main_calls_keep_no_state(tmp_path, capsys):
+    # one parser serves every call in the process; no call may see another's
+    # arguments, and each prints what a fresh process prints
+    _, theory_path, m1_path, m2_path = _square_files(tmp_path)
+    assert cli._build_parser() is cli._build_parser()
+    two = ["rat", "--theory", theory_path, "--measurement", m1_path, "--measurement", m2_path]
+    three = two + ["--measurement", m2_path]
+
+    assert main(["rat", "--theory", theory_path, "--measurement", m1_path, "--bogus"]) == 1
+    assert capsys.readouterr().out == ""
+    outputs = []
+    for argv in (two, three, two):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert [json.loads(out)["k"] for out in outputs] == [2, 3, 2]
+    assert outputs[2] == outputs[0]
+
+    for argv, out in zip((two, three), outputs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gptrat.cli", *argv], capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == out.encode()

@@ -64,3 +64,22 @@ def test_ill_scaled_degrees_are_right_or_raise():
                 answered += 1
     assert answered + errors == 546
     assert answered >= 540
+
+
+def test_sign_check_failure_names_the_negative_entry():
+    # the combined maps drawn round by round (every theory's first map, then
+    # every second one): on polygon-7's second map, phase one leaves
+    # artificials near 1.6e-4 whose drive-out puts a basic value near -0.2,
+    # while the equality residual stays at round-off, so the error must name
+    # the entry that failed.  Row equilibration in solve_lp may make this
+    # LP solvable; the test then needs another failing LP.
+    rng = np.random.default_rng(61)
+    maps = [[util.unit_fixing_map(rng, b.ambient_dim, 1e3, 1e3) for b in BASES] for _ in range(2)]
+    base = BASES[3]
+    assert base.name == "polygon-7"
+    t = util.mapped(base, maps[1][3])
+    m, n = util.ray_pairs(t)[3]
+    with pytest.raises(SolverError, match="sign-constrained entry") as err:
+        incompatibility_degree(m, n, t)
+    lowest = float(str(err.value).rsplit(" ", 1)[1].rstrip(")"))
+    assert lowest < -1e-3

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from gptrat import (
     Polytope,
     SolverError,
     Theory,
+    certify_incompatibility,
     decoding_power,
     dichotomic_measurement,
     dual_rays_from_vertices,
@@ -21,8 +23,9 @@ from gptrat import (
     operational_dimension,
     restricted_storability,
     trivial_measurement,
+    write_measurement,
 )
-from gptrat import storability
+from gptrat import cli, storability
 from gptrat.zoo import hypercube, polygon, polygon_ray, qubit2, rebit, simplex
 
 
@@ -118,6 +121,35 @@ def test_storability_rejects_a_suboptimal_lp_result(monkeypatch, value_scale, du
     monkeypatch.setattr(storability, "solve_lp", suboptimal)
     with pytest.raises(SolverError, match="dual fails"):
         information_storability(polygon(5))
+
+
+def test_one_storability_lp_per_theory(tmp_path, monkeypatch, capsys):
+    # gptrat rat needs the storability twice (its bounds and the certificate),
+    # and the certificate and the super-storability test need it again: one
+    # Theory object solves its storability LP once for all of them
+    t = polygon(5)
+    m1, m2 = (dichotomic_measurement(t, polygon_ray(t, k)) for k in (1, 2))
+    paths = [str(tmp_path / "m1.json"), str(tmp_path / "m2.json")]
+    write_measurement(m1, paths[0])
+    write_measurement(m2, paths[1])
+    solve, problems = storability.solve_lp, []
+
+    def counting(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(storability, "solve_lp", counting)
+    monkeypatch.setattr(cli, "theory_from_file", lambda path: t)
+    argv = ["rat", "--theory", "pentagon.json", "--measurement", paths[0], "--measurement", paths[1]]
+    assert cli.main(argv) == 0
+    assert "certificate" in json.loads(capsys.readouterr().out)
+    certify_incompatibility(m1, m2, t)
+    assert has_super_information_storability(t)
+    assert information_storability(t) is t.storability
+    assert len(problems) == 1
+
+    information_storability(polygon(5))  # another Theory object solves its own
+    assert len(problems) == 2
 
 
 def test_restricted_storability():
