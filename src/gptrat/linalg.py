@@ -93,7 +93,8 @@ class LpResult:
     status is one of "optimal", "infeasible", "unbounded".  For an optimal
     result, value == objective . solution and duals holds one multiplier per
     equality row (zero for rows detected as redundant).  pivots counts the
-    simplex pivots of both phases.
+    simplex pivots of both phases.  residual is |A x - b|_inf / max(1,
+    |b|_inf) at the returned solution, nan unless the status is "optimal".
     """
 
     status: str
@@ -101,13 +102,14 @@ class LpResult:
     solution: np.ndarray | None
     duals: np.ndarray | None
     pivots: int
+    residual: float
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * T[row]
     # kill round-off residue in the pivot column
     T[:, col] = 0.0
     T[row, col] = 1.0
@@ -121,36 +123,39 @@ def _set_objective_row(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> No
     T[-1, -1] = -(c_basic @ T[:m, -1])
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> tuple[str, int]:
-    """Pivot T to the end of one phase; return the status and the pivot count."""
+def _simplex(T: np.ndarray, basis: np.ndarray, n_ext: int) -> tuple[str, int]:
+    """Pivot T to the end of one phase; return the status and the pivot count.
+    Only the first n_ext columns may enter: artificials never re-enter."""
+    if n_ext == 0:
+        return "optimal", 0
     m = T.shape[0] - 1
+    reduced, rhs = T[-1, :n_ext], T[:m, -1]
     degenerate = 0
     for pivots in range(_MAX_PIVOTS):
-        reduced = T[-1, :-1]
-        candidates = np.flatnonzero(allowed & (reduced > EPS))
-        if candidates.size == 0:
-            return "optimal", pivots
         # Dantzig: the largest reduced cost enters, the smallest index on a
-        # tie; after a run of degenerate pivots, Bland: the smallest index
+        # tie; after a run of degenerate pivots, Bland: the smallest index.
+        # argmax stops at a NaN (an overflowed tableau), which ends the phase
         if degenerate < _DEGENERATE_RUN:
-            col = candidates[reduced[candidates].argmax()]
+            col = reduced.argmax()
         else:
-            col = candidates[0]
+            col = (reduced > EPS).argmax()
+        if not reduced[col] > EPS:
+            return "optimal", pivots
         column = T[:m, col]
-        rows = np.nonzero(column > _PIVOT_TOL)[0]
+        rows = (column > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded", pivots
-        rhs, elements = T[rows, -1], column[rows]
+        level, elements = rhs[rows], column[rows]
         # Harris: leaving at a ratio below the bound keeps the basic values
         # of these rows above -_DRIFT; of those rows the largest pivot
         # element leaves, then the smallest basis index
-        ties = rows[rhs / elements <= ((rhs + _DRIFT) / elements).min()]
-        row = ties[np.lexsort((basis[ties], -column[ties]))[0]]
+        ties = rows[level / elements <= ((level + _DRIFT) / elements).min()]
+        row = ties[0] if ties.size == 1 else ties[np.lexsort((basis[ties], -column[ties]))[0]]
         # a leaving value that drifted below zero steps by zero, not backwards
-        if T[row, -1] < 0.0:
-            T[row, -1] = 0.0
+        if rhs[row] < 0.0:
+            rhs[row] = 0.0
         if degenerate < _DEGENERATE_RUN:
-            degenerate = degenerate + 1 if T[row, -1] <= _DRIFT else 0
+            degenerate = degenerate + 1 if rhs[row] <= _DRIFT else 0
         _pivot(T, basis, row, col)
     raise SolverError("simplex failed to terminate")
 
@@ -174,21 +179,24 @@ def _drive_out(T: np.ndarray, basis: np.ndarray, n_ext: int) -> list[int]:
 def solve_lp(problem: LpProblem) -> LpResult:
     """Solve an equality-form LP by the two-phase tableau simplex method.
 
-    The eligible column with the largest reduced cost enters (Dantzig's
-    rule).  After _DEGENERATE_RUN consecutive degenerate pivots, whose
-    leaving value is within _DRIFT of zero, the smallest eligible index
-    enters (Bland's rule) for the rest of that phase, which ends the
-    degenerate cycles the largest reduced cost can fall into.  In Harris's ratio test, of the rows whose step
-    keeps the other basic values above -_DRIFT, the largest pivot element
-    leaves, then the smallest basic index, so a sound row beats round-off
-    noise.  Bland's termination proof then no longer holds; the _MAX_PIVOTS
-    cap ends the search with SolverError.  Phase one calls the LP
-    infeasible when its artificials sum to more than EPS times scale =
-    max(1, |b|_inf); each artificial left in the basis then leaves on the
-    largest entry of its row, and a row with no entry above 1e-8 is
-    redundant and dropped.  The result is "optimal" only if
-    |A x - b|_inf <= EPS scale and x >= -EPS where sign-constrained;
-    otherwise SolverError, and x is never returned.
+    The tableau holds the n_ext structural columns (free variables split
+    in two), then one artificial column per row, then the right-hand side;
+    only the structural columns may enter.  The eligible column with the
+    largest reduced cost enters (Dantzig's rule).  After _DEGENERATE_RUN
+    consecutive degenerate pivots, whose leaving value is within _DRIFT of
+    zero, the smallest eligible index enters (Bland's rule) for the rest of
+    that phase, which ends the degenerate cycles the largest reduced cost
+    can fall into.  In Harris's ratio test, of the rows whose step keeps
+    the other basic values above -_DRIFT, the largest pivot element leaves,
+    then the smallest basic index, so a sound row beats round-off noise;
+    only rows that tie on the ratio are sorted.  Bland's termination proof
+    then no longer holds; the _MAX_PIVOTS cap ends the search with
+    SolverError.  Phase one calls the LP infeasible when its artificials
+    sum to more than EPS times scale = max(1, |b|_inf); each artificial
+    left in the basis then leaves on the largest entry of its row, and a
+    row with no entry above 1e-8 is redundant and dropped.  The result is
+    "optimal" only if |A x - b|_inf <= EPS scale and x >= -EPS where
+    sign-constrained; otherwise SolverError, and x is never returned.
     """
     c0 = problem.objective
     A0 = problem.eq_matrix
@@ -214,47 +222,41 @@ def solve_lp(problem: LpProblem) -> LpResult:
     T[:m, n_ext : n_ext + m] = np.eye(m)
     T[:m, -1] = b0 * row_sign
     basis = np.arange(n_ext, n_ext + m)
-    allowed = np.ones(width - 1, dtype=bool)
-    allowed[n_ext:] = False  # artificials never re-enter
 
     # phase one: maximize minus the sum of artificials
     cost1 = np.zeros(width - 1)
     cost1[n_ext:] = -1.0
     _set_objective_row(T, basis, cost1)
-    _, pivots = _simplex(T, basis, allowed)
+    _, pivots = _simplex(T, basis, n_ext)
     # phase one decides at the tolerance of the residual check below
     scale = max(1.0, np.abs(b0).max(initial=0.0))
     if -T[-1, -1] < -EPS * scale:
-        return LpResult("infeasible", float("nan"), None, None, pivots)
+        return LpResult("infeasible", float("nan"), None, None, pivots, float("nan"))
 
     drop = _drive_out(T, basis, n_ext)
-    orig_row = [i for i in range(m) if i not in drop]
     if drop:
-        T = T[orig_row + [m]]
-        basis = basis[orig_row]
+        T = np.delete(T, drop, axis=0)
+        basis = np.delete(basis, drop)
 
     # phase two with the real objective
     cost2 = np.zeros(width - 1)
     cost2[:n_ext] = c_ext
     _set_objective_row(T, basis, cost2)
-    status, phase_two = _simplex(T, basis, allowed)
+    status, phase_two = _simplex(T, basis, n_ext)
     pivots += phase_two
     if status == "unbounded":
-        return LpResult("unbounded", float("nan"), None, None, pivots)
+        return LpResult("unbounded", float("nan"), None, None, pivots, float("nan"))
 
-    m_live = T.shape[0] - 1
     x_ext = np.zeros(n_ext)
-    for i in range(m_live):
-        if basis[i] < n_ext:
-            x_ext[basis[i]] = T[i, -1]
+    structural = basis < n_ext
+    x_ext[basis[structural]] = T[:-1, -1][structural]
     x = x_ext[:n].copy()
     if free_idx.size:
         x[free_idx] -= x_ext[n:]
 
     # reduced cost under artificial column i is -y_i
-    duals = np.zeros(m)
-    for i, orig in enumerate(orig_row):
-        duals[orig] = -T[-1, n_ext + orig] * row_sign[orig]
+    duals = -T[-1, n_ext:-1] * row_sign
+    duals[drop] = 0.0
 
     residual = np.abs(A0 @ x - b0).max(initial=0.0) / scale
     lowest = x[nonneg].min(initial=0.0)
@@ -264,7 +266,7 @@ def solve_lp(problem: LpProblem) -> LpResult:
             f"{residual:.3g}, most negative sign-constrained entry {lowest:.3g})"
         )
     value = float(c0 @ x)
-    return LpResult("optimal", value, x, duals, pivots)
+    return LpResult("optimal", value, x, duals, pivots, float(residual))
 
 
 @dataclass(frozen=True)

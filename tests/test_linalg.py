@@ -78,6 +78,57 @@ def test_redundant_rows_are_tolerated():
     np.testing.assert_allclose(res.value, 2.0, atol=1e-12)
 
 
+def test_lp_without_columns():
+    # no column can enter in either phase; b = 0 is met by the empty point,
+    # and every row is redundant
+    res = solve_lp(LpProblem(np.zeros(0), np.zeros((2, 0)), np.zeros(2)))
+    assert (res.status, res.value, res.pivots, res.residual) == ("optimal", 0.0, 0, 0.0)
+    assert res.solution.shape == (0,)
+    assert res.duals.tolist() == [0.0, 0.0]
+    res = solve_lp(LpProblem(np.zeros(0), np.zeros((2, 0)), np.array([0.0, -1.0])))
+    assert res.status == "infeasible"
+    assert res.solution is None and np.isnan(res.value) and np.isnan(res.residual)
+
+
+@pytest.mark.parametrize(
+    "objective, nonneg, status",
+    [
+        ([-1.0, 0.0], None, "optimal"),
+        ([1.0, -1.0], None, "unbounded"),
+        ([-1.0, 0.0], [True, False], "optimal"),
+        ([-1.0, 2.0], [True, False], "unbounded"),
+        ([-1.0, -2.0], [True, False], "unbounded"),
+    ],
+)
+def test_lp_without_rows(objective, nonneg, status):
+    # x = 0 is feasible; a positive cost on a sign-constrained variable, or
+    # any nonzero cost on a free one, is unbounded
+    nonneg = None if nonneg is None else np.array(nonneg)
+    res = solve_lp(LpProblem(np.array(objective), np.zeros((0, 2)), np.zeros(0), nonneg))
+    assert (res.status, res.pivots) == (status, 0)
+    if status == "optimal":
+        assert res.value == 0.0 and res.solution.tolist() == [0.0, 0.0]
+        assert res.duals.shape == (0,) and res.residual == 0.0
+    else:
+        assert res.solution is None and np.isnan(res.residual)
+
+
+def test_overflowed_tableau_ends_the_phase():
+    # entries near 1e300 overflow the tableau and leave NaN reduced costs;
+    # a NaN must end the phase rather than enter, or it enters again and
+    # again until the pivot cap; the final check then rejects the point
+    A = np.array(
+        [
+            [6.064299986412706e299, 3.266989109928565e299, 2.9859059142878042e-301],
+            [1.2831120280166595, -2.306387403361318e299, 3.7926029068332995e299],
+        ]
+    )
+    b = np.array([1.6154701864518372e300, 0.6156939117729879])
+    c = np.array([-1.7990588162315395, -1.497675535872544, -1.094469330379872e299])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError, match="infeasible point"):
+        solve_lp(LpProblem(c, A, b))
+
+
 # Beale's cycling LP (1955): minimize -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7
 # with slacks x1, x2, x3; the optimum is -1/20 at x = (3/100, 0, 0, 1/25,
 # 0, 1, 0)

@@ -108,6 +108,20 @@ def test_corpus_verdicts_match_highs(corpus):
     assert not errors, errors
 
 
+def test_optimal_results_carry_their_residual(corpus):
+    optimal = 0
+    for label, problem, _ in corpus:
+        res = solve_lp(problem)
+        if res.status != "optimal":
+            assert np.isnan(res.residual), label
+            continue
+        optimal += 1
+        scale = max(1.0, np.abs(problem.eq_rhs).max(initial=0.0))
+        assert res.residual == np.abs(problem.eq_matrix @ res.solution - problem.eq_rhs).max(initial=0.0) / scale
+        assert res.residual <= linalg.EPS, label
+    assert optimal > 0
+
+
 def test_smallest_index_fallback_gives_the_same_verdicts_in_more_pivots(corpus, monkeypatch):
     # both counts are deterministic; the largest reduced cost should need
     # fewer pivots than Bland's rule on these LPs
