@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 file parse error, 3 validation
-error, 4 I/O error, 5 solver error (the LP solver reached no trustworthy
-verdict).  Scalar results print with 9 decimal places; structured
-results print as JSON with sorted keys, so output is byte-stable across runs.
-main builds its parser once per process and keeps no state between calls.
+Exit codes, from _EXIT_CODES: 0 success, 1 usage error, 2 file parse
+error, 3 validation error, 4 I/O error, 5 solver error (the LP solver
+reached no trustworthy verdict).  Scalar results print with 9 decimal
+places; structured results print as JSON with sorted keys, so output is
+byte-stable across runs.  main builds its parser once per process and
+keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -41,25 +42,19 @@ def _build_parser() -> _Parser:
 
     p_poly = sub.add_parser("polygon", help="closed-form quantities of the regular n-gon")
     p_poly.add_argument("n", type=int)
-    p_poly.add_argument(
-        "quantity", choices=["lmax", "rat-max", "comp-max", "verify-table"]
-    )
+    p_poly.add_argument("quantity", choices=[*_POLYGON_VALUES, "verify-table"])
     p_poly.set_defaults(func=cmd_polygon)
 
-    p_rat = sub.add_parser("rat", help="random access test of measurements from files")
-    p_rat.add_argument("--theory", required=True)
-    p_rat.add_argument("--measurement", action="append", required=True)
-    p_rat.set_defaults(func=cmd_rat)
-
-    p_compat = sub.add_parser("compat", help="joint measurement feasibility")
-    p_compat.add_argument("--theory", required=True)
-    p_compat.add_argument("--measurement", action="append", required=True)
-    p_compat.set_defaults(func=cmd_compat)
-
-    p_degree = sub.add_parser("degree", help="degree of incompatibility of a pair")
-    p_degree.add_argument("--theory", required=True)
-    p_degree.add_argument("--measurement", action="append", required=True)
-    p_degree.set_defaults(func=cmd_degree)
+    # expected: the number of --measurement arguments the command needs, if fixed
+    for name, help_text, payload, expected in (
+        ("rat", "random access test of measurements from files", _rat_payload, None),
+        ("compat", "joint measurement feasibility", _compat_payload, None),
+        ("degree", "degree of incompatibility of a pair", _degree_payload, 2),
+    ):
+        p_files = sub.add_parser(name, help=help_text)
+        p_files.add_argument("--theory", required=True)
+        p_files.add_argument("--measurement", action="append", required=True)
+        p_files.set_defaults(func=cmd_files, payload=payload, expected=expected)
 
     p_sweep = sub.add_parser("sweep", help="per-n polygon summary as CSV")
     p_sweep.add_argument("--min", type=int, required=True)
@@ -69,15 +64,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# the scalar quantities of gptrat polygon; verify-table prints a table
+_POLYGON_VALUES = {
+    "lmax": lambda n: information_storability(polygon(n)).value,
+    "rat-max": polygon_rat_closed_form,
+    "comp-max": polygon_compatible_max,
+}
+
+
 def cmd_polygon(args) -> int:
     n = args.n
-    if args.quantity == "lmax":
-        value = information_storability(polygon(n)).value
-    elif args.quantity == "rat-max":
-        value = polygon_rat_closed_form(n)
-    elif args.quantity == "comp-max":
-        value = polygon_compatible_max(n)
-    else:
+    if args.quantity == "verify-table":
         report = verify_table(n)
         print(f"n={report.n} class={report.parity} expected={report.expected:.9f}")
         for v in report.variants:
@@ -87,22 +84,23 @@ def cmd_polygon(args) -> int:
         good = sum(1 for v in report.variants if v.ok)
         print(f"summary: {good}/{len(report.variants)} variants ok")
         return 0 if report.all_ok else 3
-    print(f"{value:.9f}")
+    print(f"{_POLYGON_VALUES[args.quantity](n):.9f}")
     if n >= 4:
         print(f"class: {parity_class(n)}")
     return 0
 
 
-def _load_pair(args, expected=None):
+def cmd_files(args) -> int:
     theory = theory_from_file(args.theory)
-    if expected is not None and len(args.measurement) != expected:
-        raise InputError(f"expected exactly {expected} --measurement arguments")
+    # the count is checked before any measurement file is read
+    if args.expected is not None and len(args.measurement) != args.expected:
+        raise InputError(f"expected exactly {args.expected} --measurement arguments")
     ms = [measurement_from_file(p, theory) for p in args.measurement]
-    return theory, ms
+    print(json.dumps(args.payload(ms, theory), indent=2, sort_keys=True))
+    return 0
 
 
-def cmd_rat(args) -> int:
-    theory, ms = _load_pair(args)
+def _rat_payload(ms, theory) -> dict:
     report = rat_success(ms, theory)
     counts = report.outcome_counts
     h = report.k / sum(1.0 / c for c in counts)
@@ -134,33 +132,22 @@ def cmd_rat(args) -> int:
             "useful": cert.useful,
             "verdict": cert.verdict,
         }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return payload
 
 
-def cmd_compat(args) -> int:
-    theory, ms = _load_pair(args)
+def _compat_payload(ms, theory) -> dict:
     witness = check_compatible(ms, theory)
     if witness is None:
-        payload = {"compatible": False}
-    else:
-        payload = {
-            "compatible": True,
-            "marginal_residuals": list(witness.marginal_residuals),
-        }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+        return {"compatible": False}
+    return {"compatible": True, "marginal_residuals": list(witness.marginal_residuals)}
 
 
-def cmd_degree(args) -> int:
-    theory, ms = _load_pair(args, expected=2)
+def _degree_payload(ms, theory) -> dict:
     report = incompatibility_degree(ms[0], ms[1], theory)
-    payload = {
+    return {
         "degree": report.degree,
         "optimal_trivials": [list(map(float, p)) for p in report.optimal_trivials],
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -176,25 +163,26 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# (error type, exit code, stderr prefix); the first type that matches decides
+_EXIT_CODES = (
+    (InputError, 1, "usage error"),
+    (ParseError, 2, "parse error"),
+    (ValidationError, 3, "validation error"),
+    (OSError, 4, "i/o error"),
+    (SolverError, 5, "solver error"),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 5
+    except Exception as exc:
+        for error_type, code, prefix in _EXIT_CODES:
+            if isinstance(exc, error_type):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -260,7 +260,8 @@ def solve_lp(problem: LpProblem) -> LpResult:
 
     residual = np.abs(A0 @ x - b0).max(initial=0.0) / scale
     lowest = x[nonneg].min(initial=0.0)
-    if residual > EPS or lowest < -EPS:
+    # written so that a NaN residual or entry fails it
+    if not (residual <= EPS and lowest >= -EPS):
         raise SolverError(
             "simplex ended at an infeasible point (relative residual "
             f"{residual:.3g}, most negative sign-constrained entry {lowest:.3g})"

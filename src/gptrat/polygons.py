@@ -43,6 +43,10 @@ from .zoo import polygon, polygon_effect_label, polygon_order, polygon_ray, poly
 # Angles scanned by the disc brute force before golden-section refinement.
 DISC_GRID = 10_000
 
+# The outcome tuples of a dichotomic pair, in the order in which the brute
+# force reports its states and the table lists its candidate states.
+_PAIR_TUPLES = (("+", "+"), ("-", "+"), ("-", "-"), ("+", "-"))
+
 
 def parity_class(n: int) -> str:
     """One of 4m-odd, 4m-even, 4m+2-odd, 4m+2-even, 4m+1, 4m+3."""
@@ -122,7 +126,7 @@ class BruteForceResult:
     value: float
     e_label: str
     f_label: str
-    states: tuple  # argmax descriptors for the tuples (+,+), (-,+), (-,-), (+,-)
+    states: tuple  # argmax descriptors, one per tuple of _PAIR_TUPLES
 
 
 def brute_force_rat_max(theory: Theory) -> BruteForceResult:
@@ -161,18 +165,15 @@ def brute_force_rat_max(theory: Theory) -> BruteForceResult:
         int(np.argmax(2.0 * Vu - ve - vf)),
         int(np.argmax(Vu + ve - vf)),
     )
-    try:
-        e_label = polygon_effect_label(theory, 0)
-        f_label = polygon_effect_label(theory, fi)
-    except InputError:
-        e_label, f_label = "effect_0", f"effect_{fi}"
-    return BruteForceResult(float(vals[fi]), e_label, f_label, states)
+    return BruteForceResult(
+        float(vals[fi]), polygon_effect_label(theory, 0), polygon_effect_label(theory, fi), states
+    )
 
 
 def _disc_pair_sums(theta):
     """First two coordinates (a, b) of the four effect sums of the pair
-    (e_0, u - e_0), (e_theta, u - e_theta) on the disc, in the tuple order
-    (+,+), (-,+), (-,-), (+,-); theta may be an array of angles.
+    (e_0, u - e_0), (e_theta, u - e_theta) on the disc, in the order of
+    _PAIR_TUPLES; theta may be an array of angles.
 
     Every sum has unit coordinate 1, so its supremum over pure states is
     1 + hypot(a, b), attained at the angle of (a, b).
@@ -373,12 +374,7 @@ def verify_table(n: int) -> TableReport:
         f_label = f"{family}_{f_index}"
         m_second = dichotomic_measurement(theory, polygon_ray(theory, f_index))
         for combo in product(*columns):
-            encoding = {
-                ("+", "+"): polygon_state(theory, combo[0]),
-                ("-", "+"): polygon_state(theory, combo[1]),
-                ("-", "-"): polygon_state(theory, combo[2]),
-                ("+", "-"): polygon_state(theory, combo[3]),
-            }
+            encoding = {labels: polygon_state(theory, j) for labels, j in zip(_PAIR_TUPLES, combo)}
             value = rat_success_given_states([m_first, m_second], encoding)
             ok = abs(value - expected) <= 1e-9
             variants.append(TableVariant(f_label, tuple(combo), value, ok))

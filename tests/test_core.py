@@ -459,6 +459,42 @@ def test_validate_theory_rejects_a_ball_unit_other_than_the_last_coordinate(unit
         validate_theory(Theory("broken", 3, np.array(unit), Ball(2)))
 
 
+def _polytope_theory(states=None, rays=None):
+    good = polygon(4)
+    V = good.vertices if states is None else states
+    R = good.backend.dual_rays if rays is None else rays
+    return Theory("broken", 3, good.unit, Polytope(V, R))
+
+
+_SQUARE = polygon(4)
+_SQUARE_M = dichotomic_measurement(_SQUARE, _SQUARE.backend.dual_rays[0])
+
+# one call per shape or count check, with the start of the message it raises
+MALFORMED_INPUTS = [
+    (lambda: validate_theory(_polytope_theory(states=_SQUARE.vertices[:, :2])), "extreme states have the wrong shape"),
+    (lambda: validate_theory(_polytope_theory(rays=_SQUARE.backend.dual_rays[:, :2])), "dual rays have the wrong shape"),
+    (lambda: validate_theory(_polytope_theory(rays=2.0 * _SQUARE.backend.dual_rays)), "dual rays must be normalized"),
+    (lambda: Ball(4), "ball backends are"),
+    (lambda: validate_theory(Theory("broken", 4, np.eye(4)[3], Ball(2))), "a 2-ball lives in"),
+    (lambda: Theory("broken", 3, np.ones(2), Ball(2)), "unit functional has the wrong dimension"),
+    (lambda: Measurement(("a",), np.ones(3)), "effects must be a 2-D array"),
+    (lambda: Measurement(("a", "b"), np.ones((3, 3))), "number of outcome labels"),
+    (lambda: norm_with_argmax(np.ones(2), _SQUARE), "effect dimension mismatch"),
+    (lambda: is_valid_effect(np.ones(2), _SQUARE), "effect dimension mismatch"),
+    (lambda: is_valid_measurement(Measurement(("a",), np.ones((1, 2))), _SQUARE), "measurement dimension mismatch"),
+    (lambda: post_process(_SQUARE_M, np.eye(2), outcomes=("a",)), "outcome labels do not match"),
+    (lambda: mix([], []), "need one weight per measurement"),
+    (lambda: distinguishable(np.ones((2, 2)), _SQUARE), "states must be rows"),
+    (lambda: distinguishable(_SQUARE.vertices[:1], _SQUARE), "need at least two states"),
+]
+
+
+@pytest.mark.parametrize("call, message", MALFORMED_INPUTS, ids=[m for _, m in MALFORMED_INPUTS])
+def test_malformed_inputs_raise_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{message}"):
+        call()
+
+
 def test_vertices_unavailable_for_rebit():
     with pytest.raises(UnsupportedBackendError):
         _ = rebit().vertices

@@ -536,6 +536,42 @@ def test_cli_solver_error_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("solver error: pivot limit reached")
 
 
+@pytest.mark.parametrize(
+    "code, prefix",
+    [(1, "usage error: "), (2, "parse error: "), (3, "validation error: "), (4, "i/o error: "), (5, "solver error: ")],
+)
+def test_cli_errors_print_only_their_prefixed_line(code, prefix, tmp_path, capsys, monkeypatch):
+    _, theory_path, m1_path, m2_path = _square_files(tmp_path)
+    corrupt, invalid = tmp_path / "corrupt.json", tmp_path / "invalid.json"
+    corrupt.write_text("{ not json")
+    invalid.write_text(json.dumps({"outcomes": ["a", "b"], "effects": [[0, 0, 1], [0, 0, 1]]}))
+    first = {2: str(corrupt), 3: str(invalid), 4: str(tmp_path / "missing.json")}.get(code, m1_path)
+
+    def failing(*args, **kwargs):
+        raise SolverError("pivot limit reached")
+
+    monkeypatch.setattr(cli, "incompatibility_degree", failing)
+    command = "no-such-command" if code == 1 else "degree"
+    argv = [command, "--theory", theory_path, "--measurement", first, "--measurement", m2_path]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+
+
+def test_degree_counts_its_measurements_before_reading_them(tmp_path, capsys):
+    _, theory_path, m1_path, m2_path = _square_files(tmp_path)
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text("{ not json")
+    one = ["degree", "--theory", theory_path, "--measurement", m1_path]
+    # a third measurement that does not parse still gets the usage error
+    for argv in (one, one + ["--measurement", m2_path, "--measurement", str(corrupt)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: expected exactly 2 --measurement arguments\n"
+
+
 def test_cli_process_level_invocation():
     proc = subprocess.run(
         [sys.executable, "-c", "from gptrat.cli import main; raise SystemExit(main())"],

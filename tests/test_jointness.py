@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from gptrat import (
     post_process,
     trivial_measurement,
 )
-from gptrat import linalg
+from gptrat import jointness, linalg
 from gptrat.jointness import _joint_lp
 from gptrat.linalg import EPS, LpProblem, kron, solve_lp
 from gptrat.polygons import odd_polygon_compatible_pair
@@ -185,6 +187,25 @@ def test_check_compatible_validation():
 
 
 # -------------------------------------------------------------------- degree
+
+
+def test_degree_rejects_noise_on_one_side_only(monkeypatch):
+    # the degree LP's last two columns are the second measurement's noise w'
+    solve = jointness.solve_lp
+
+    def one_sided(problem):
+        res = solve(problem)
+        if res.solution is None:
+            return res
+        x = res.solution.copy()
+        x[-2:] = 0.0
+        return replace(res, solution=x)
+
+    monkeypatch.setattr(jointness, "solve_lp", one_sided)
+    t = polygon(4)
+    m, n = _ray_pair(t, 1, 2)
+    with pytest.raises(SolverError, match="no positive noise weight on one side"):
+        incompatibility_degree(m, n, t)
 
 
 def test_square_ray_pair_degree_is_one_half():

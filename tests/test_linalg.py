@@ -129,6 +129,22 @@ def test_overflowed_tableau_ends_the_phase():
         solve_lp(LpProblem(c, A, b))
 
 
+def test_nan_residual_fails_the_final_check():
+    # the tableau overflows to an infinite solution whose residual is NaN;
+    # "residual > EPS" is false for NaN, so the check must ask for
+    # "residual <= EPS" instead
+    A = np.array(
+        [
+            [-5.367168183773762e-301, 1.258053861909884],
+            [-1.3174147951772277e149, 1.3163817268191644e300],
+        ]
+    )
+    b = np.array([1.0178816586520204e300, -6.958069429980753e299])
+    c = np.array([3.556216218340067e299, -3.715273840614815e299])
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="relative residual nan"):
+        solve_lp(LpProblem(c, A, b))
+
+
 # Beale's cycling LP (1955): minimize -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7
 # with slacks x1, x2, x3; the optimum is -1/20 at x = (3/100, 0, 0, 1/25,
 # 0, 1, 0)
@@ -322,6 +338,21 @@ def test_segment_facets():
 def test_degenerate_vertex_set_rejected():
     with pytest.raises(InputError):
         enumerate_facets(np.array([[1.0, 2.0]]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LpProblem(np.ones(2), np.ones(2), np.ones(1)), "eq_matrix must be two-dimensional"),
+        (lambda: LpProblem(np.ones(2), np.ones((1, 2)), np.ones(1), nonneg=[True]), "nonneg mask has shape"),
+        (lambda: enumerate_facets([[0.0, 0.0], [np.nan, 1.0]]), "vertices must be finite"),
+        (lambda: enumerate_facets([[1.0, 2.0], [1.0, 2.0]]), "degenerate vertex set"),
+    ],
+    ids=["matrix-1d", "mask-length", "vertex-nan", "coincident-vertices"],
+)
+def test_malformed_lp_and_vertex_inputs(call, message):
+    with pytest.raises(InputError, match=f"^{message}"):
+        call()
 
 
 def _enumerate_facets_loop(vertices: np.ndarray) -> list[Facet]:

@@ -16,7 +16,7 @@ from gptrat.polygons import (
     sweep,
     verify_table,
 )
-from gptrat.zoo import polygon, rebit
+from gptrat.zoo import hypercube, polygon, rebit
 
 SQRT2 = math.sqrt(2.0)
 
@@ -235,3 +235,18 @@ def test_sweep_range_validation():
         sweep(10, 4)
     with pytest.raises(InputError):
         sweep(4, 61)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: polygon_rat_upper_bound(3), "bounds start at n = 4"),
+        (lambda: polygon_compatible_max(3), "compatible maxima start at n = 4"),
+        (lambda: brute_force_rat_max(hypercube(2)), "theory does not carry a finite extreme effect list"),
+        (lambda: verify_table(3), "tables start at n = 4"),
+    ],
+    ids=["upper-bound", "compatible-max", "no-effect-list", "verify-table"],
+)
+def test_polygon_functions_reject_out_of_range_input(call, message):
+    with pytest.raises(InputError, match=f"^{message}"):
+        call()

@@ -121,6 +121,8 @@ def test_given_states_rejects_missing_tuple():
     t, m, n = _square_pair()
     with pytest.raises(InputError):
         rat_success_given_states([m, n], {("+", "+"): polygon_state(t, 1)})
+    with pytest.raises(InputError, match="need at least one measurement"):
+        rat_success_given_states([], {})
 
 
 # ------------------------------------------------------------------ identity

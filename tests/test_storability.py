@@ -123,6 +123,13 @@ def test_storability_rejects_a_suboptimal_lp_result(monkeypatch, value_scale, du
         information_storability(polygon(5))
 
 
+def test_storability_rejects_a_non_optimal_lp_status(monkeypatch):
+    solve = storability.solve_lp
+    monkeypatch.setattr(storability, "solve_lp", lambda problem: replace(solve(problem), status="infeasible"))
+    with pytest.raises(SolverError, match="storability LP ended infeasible"):
+        information_storability(polygon(5))
+
+
 def test_one_storability_lp_per_theory(tmp_path, monkeypatch, capsys):
     # gptrat rat needs the storability twice (its bounds and the certificate),
     # and the certificate and the super-storability test need it again: one

@@ -220,3 +220,5 @@ def test_qubit_states_and_effects():
     np.testing.assert_allclose(e @ qubit2_state(-v), 0.0, atol=1e-12)
     with pytest.raises(InputError):
         qubit2_state([2.0, 0.0, 0.0])  # outside the Bloch ball
+    with pytest.raises(InputError, match="Bloch vector must have 3 components"):
+        qubit2_effect([1.0, 0.0], 0.5)
