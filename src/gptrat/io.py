@@ -36,16 +36,32 @@ def _matrix_to_str(rows: np.ndarray) -> list[list[str]]:
     return [[_num_to_str(x) for x in row] for row in rows]
 
 
-def _parse_number(value, where: str) -> float:
+def _parse_number(value) -> float:
+    """value as a finite float.  The ParseError raised otherwise says what
+    is wrong but not where; _parse_numbers adds the location."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ParseError(f"{where}: expected a number or numeric string")
+        raise ParseError("expected a number or numeric string")
     try:
         x = float(value)
     except (ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
-        raise ParseError(f"{where}: {value!r} is not a finite number")
+        raise ParseError(f"{value!r} is not a finite number")
     return x
+
+
+def _parse_numbers(values: list, where: str, *index: int) -> list[float]:
+    """Each entry as a finite float.  A bad entry's location, where followed
+    by [i] for each index and then its own [j], is formatted only when the
+    entry fails, not for every number read."""
+    numbers: list[float] = []
+    try:
+        for x in values:
+            numbers.append(_parse_number(x))
+    except ParseError as exc:
+        at = "".join(f"[{i}]" for i in (*index, len(numbers)))
+        raise ParseError(f"{where}{at}: {exc}") from None
+    return numbers
 
 
 def _parse_matrix(value, where: str) -> np.ndarray:
@@ -60,14 +76,14 @@ def _parse_matrix(value, where: str) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise ParseError(f"{where}[{i}]: expected {width} coordinates, got {len(row)}")
-        rows.append([_parse_number(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
+        rows.append(_parse_numbers(row, where, i))
     return np.array(rows, dtype=float)
 
 
 def _parse_vector(value, where: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ParseError(f"{where}: expected a non-empty list of numbers")
-    return np.array([_parse_number(x, f"{where}[{j}]") for j, x in enumerate(value)])
+    return np.array(_parse_numbers(value, where))
 
 
 def _load_json(path) -> dict:

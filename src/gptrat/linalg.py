@@ -5,17 +5,23 @@ variables, coefficients of order one), so a two-phase tableau simplex that
 checks the point it returns is both sufficient and easy to audit.  All
 arrays are float64 numpy arrays.
 
-Facets are found by trying every subset of k vertices, k the affine
-dimension: C(N, k) subsets for N vertices.  The subsets are generated lazily
-and tested in fixed-size batches (one stacked SVD and one matrix product per
-batch), so memory stays bounded by the batch however many subsets there
-are, and each facet keeps the normal of the first subset found to span it.
+Facets are found in two stages.  A screen tries every subset of k
+vertices, k the affine dimension (C(N, k) subsets for N vertices), in
+fixed-size batches generated lazily, with a normal from one batched
+determinant per batch, and proposes the distinct vertex sets that
+supporting hyperplanes cut out.  An exact test, one batched SVD per round,
+then finds for each proposed set the first of its own subsets that spans it
+exactly.  Each facet so keeps the normal of the first subset in
+combinations order to span it, as in a search of every subset by SVD, and
+memory stays bounded by the batch and the number of proposed sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -76,7 +82,7 @@ class LpProblem:
 def numerical_rank(svals: np.ndarray) -> int:
     """How many singular values exceed EPS times max(1, the largest)."""
     scale = max(1.0, float(svals[0]) if svals.size else 0.0)
-    return int(np.sum(svals > EPS * scale))
+    return int(np.count_nonzero(svals > EPS * scale))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -280,32 +286,123 @@ class Facet:
     incident_vertices: tuple[int, ...]
 
 
+def _sides(vals: np.ndarray, tol):
+    """Classify the vertices against hyperplanes, one row of signed vertex
+    values per hyperplane, a vertex within tol counting as on it.  Returns
+    the incident vertices of each hyperplane, whether some vertex lies above
+    it, and whether it is a proper supporting hyperplane: every vertex on
+    one side and not every vertex on it."""
+    above = (vals > tol).any(axis=1)
+    # a hyperplane with no vertex off it on either side has every vertex on it
+    proper = above != (vals < -tol).any(axis=1)
+    return np.abs(vals) <= tol, above, proper
+
+
+@cache
+def _cofactor_columns(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entry j of the cofactor vector of a (k-1, k) matrix is sign[j] times
+    the determinant of its columns keep[j].  Read-only: every call shares
+    them."""
+    keep = np.array([[c for c in range(k) if c != j] for j in range(k)], dtype=np.intp).reshape(k, k - 1)
+    sign = (-1.0) ** np.arange(k)
+    keep.setflags(write=False)
+    sign.setflags(write=False)
+    return keep, sign
+
+
+def _screen(L: np.ndarray, k: int) -> np.ndarray:
+    """Propose facets: the distinct incidence sets that the proper supporting
+    hyperplanes through k-subsets of the vertices cut out, one boolean row
+    per set.
+
+    A subset's normal is the cofactor vector of its difference matrix
+    P[1:] - P[0], so one batched determinant per batch takes the place of a
+    batched SVD.  The vector is not normalized; the tolerance is scaled by
+    its length instead.  A dependent subset's cofactor vector is near zero
+    and points anywhere, so the set it proposes may be no facet's.
+    """
+    N = L.shape[0]
+    keep, sign = _cofactor_columns(k)
+    seen: dict[bytes, None] = {}
+    subsets = combinations(range(N), k)
+    for _ in range(0, comb(N, k), _BATCH):
+        idx = np.fromiter(chain.from_iterable(islice(subsets, _BATCH)), dtype=np.intp).reshape(-1, k)
+        P = L[idx]  # (b, k, k): row j of P[i] is vertex idx[i, j]
+        D = P[:, 1:] - P[:, :1]
+        if k == 2:  # the 1 x 1 minors are their own determinants
+            W = D[:, 0, ::-1] * sign
+        else:
+            W = np.linalg.det(D[:, :, keep].transpose(0, 2, 1, 3)) * sign
+        tol = EPS * np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
+        on, _, proper = _sides(W @ L.T - np.einsum("ij,ij->i", P[:, 0], W)[:, None], tol)
+        seen.update(dict.fromkeys(on[proper].view(f"V{N}").ravel().tolist()))
+    return np.frombuffer(b"".join(seen), dtype=bool).reshape(-1, N)
+
+
+def _exact(L: np.ndarray, idx: np.ndarray):
+    """Test the vertex subsets idx (b, k) exactly.  A batched SVD decides
+    affine independence and gives each difference matrix's null vector w;
+    beta = w . (first vertex).  Returns w and beta, negated where that puts
+    every vertex below the hyperplane, the incident vertices, and whether
+    the subset is independent and spans a proper supporting hyperplane.
+
+    The vertex values and beta come from stacked matmuls, which take one
+    gemv or dot product per subset: the same bits, and so the same
+    decisions, as testing each subset on its own."""
+    P = L[idx]
+    if idx.shape[1] == 1:
+        W = np.ones((idx.shape[0], 1))
+        independent = True
+    else:
+        _, s, vt = np.linalg.svd(P[:, 1:] - P[:, :1])
+        W = vt[:, -1]
+        independent = s[:, -1] > EPS * np.maximum(1.0, s[:, 0])
+    beta = (P[:, :1] @ W[:, :, None])[:, 0, 0]
+    on, above, proper = _sides((L @ W[:, :, None])[:, :, 0] - beta[:, None], EPS)
+    np.negative(W, out=W, where=above[:, None])
+    np.negative(beta, out=beta, where=above)
+    return W, beta, on, proper & independent
+
+
 def enumerate_facets(vertices: np.ndarray) -> list[Facet]:
-    """Enumerate the facets of conv(vertices) by exhaustive hyperplane search.
+    """Enumerate the facets of conv(vertices): screen every vertex subset
+    cheaply, then test the proposed facets exactly.
 
     Works inside the affine hull of the input, so lower-dimensional polytopes
-    embedded in a larger ambient space are handled.  Every subset of k
-    vertices, k the affine dimension, spans a candidate hyperplane if it is
-    affinely independent; the hyperplane is a facet's when every vertex lies
-    on one side of it and not every vertex lies on it.  That is C(N, k)
-    subsets for N vertices, so the search suits tens of vertices.
+    embedded in a larger ambient space are handled.  A subset of k vertices,
+    k the affine dimension, spans a facet's hyperplane when it is affinely
+    independent, every vertex lies on one side of the hyperplane and not
+    every vertex lies on it.  A facet is the set of vertices on it, which
+    copes with non-simplicial facets.
 
-    The subsets come lazily from itertools.combinations, _BATCH at a time,
-    and each batch is tested with one stacked SVD and one matrix product, so
-    memory is bounded by the batch whatever C(N, k) is.  A facet is the set
-    of vertices on it (which copes with non-simplicial facets); its normal
-    comes from the first subset in combinations order that spans it, and its
-    offset from that subset's first vertex, so the output does not depend
-    on the batch size.  Facets are returned sorted by incident set.
+    The screen (_screen) takes all C(N, k) subsets lazily from
+    itertools.combinations, _BATCH at a time, gives each a normal from one
+    batched determinant, and proposes the distinct vertex sets on them.
+    The exact test (_exact, a batched SVD) then walks each proposed set's
+    own k-subsets in combinations order, one round for all open sets at a
+    time; round one takes each set's first k vertices.  A set's walk stops
+    at the first subset that is independent and spans a proper supporting
+    hyperplane with exactly that set on it.  No earlier subset in the whole
+    search spans it, so the facet gets the normal, offset and incidence
+    that a search of every subset by SVD gives it, bit for bit.  A set no
+    subset reproduces is dropped, and a set that a walked subset spans but
+    the screen missed joins the walk.  Memory is bounded by the batch and
+    the number of proposed sets, whatever C(N, k) is, but the screen's time
+    still grows with C(N, k), so the search suits tens of vertices.  Facets
+    are returned sorted by incident set.
+
+    Where a facet's vertices are coplanar only to within about EPS, the
+    search of every subset can also return near-duplicates of it: the
+    slightly different vertex sets that its other subsets span.  This one
+    returns those its screen proposes.
     """
     V = np.asarray(vertices, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
         raise InputError("need at least two vertices in a 2-D array")
     if not np.isfinite(V).all():
         raise InputError("vertices must be finite")
-    N = V.shape[0]
 
-    centroid = V.mean(axis=0)
+    centroid = V.sum(axis=0) / V.shape[0]  # V.mean(axis=0), bit for bit
     M = V - centroid
     _, svals, Vt = np.linalg.svd(M, full_matrices=False)
     k = numerical_rank(svals)
@@ -314,39 +411,41 @@ def enumerate_facets(vertices: np.ndarray) -> list[Facet]:
     B = Vt[:k].T  # ambient basis of the direction space, shape (d, k)
     L = M @ B  # local coordinates, shape (N, k)
 
-    found: dict[bytes, tuple[tuple[int, ...], np.ndarray, float]] = {}
-    subsets = combinations(range(N), k)
+    sets = cand = _screen(L, k)
+    idx = (~sets).argsort(axis=1, kind="stable")[:, :k]  # round one
+    walks: list = []
+    seen = None
+    facets: list[Facet] = []
     while True:
-        idx = np.fromiter(chain.from_iterable(islice(subsets, _BATCH)), dtype=np.intp).reshape(-1, k)
-        if idx.size == 0:
+        W, beta, on, ok = _exact(L, idx)
+        hit = ok & (on == cand).all(axis=1)
+        # stacked matmuls again: each facet gets the bits of B @ w and
+        # normal . centroid on their own, which a 2-D product does not
+        # always reproduce
+        normals = (B @ W[hit, :, None])[:, :, 0]
+        offsets = beta[hit] + (normals[:, None, :] @ centroid)[:, 0]
+        incident = [tuple(row.nonzero()[0].tolist()) for row in cand[hit]]
+        facets += map(Facet, normals, offsets.tolist(), incident)
+        if hit.all():
             break
-        P = L[idx]  # (b, k, k): row j of P[i] is vertex idx[i, j]
-        if k == 1:
-            W = np.ones((idx.shape[0], 1))
-        else:
-            _, s2, vt2 = np.linalg.svd(P[:, 1:] - P[:, :1])
-            independent = s2[:, -1] > EPS * np.maximum(1.0, s2[:, 0])
-            P, W = P[independent], vt2[independent, -1]
-        vals = W @ L.T - np.einsum("ij,ij->i", P[:, 0], W)[:, None]
-        below = np.all(vals <= EPS, axis=1)
-        above = np.all(vals >= -EPS, axis=1)
-        on = np.abs(vals) <= EPS
-        proper = (below | above) & ~np.all(on, axis=1)
-        for i in np.flatnonzero(proper):
-            key = on[i].tobytes()
-            if key in found:
-                continue
-            # the offset as the per-subset product, whose bits a batched
-            # product does not always reproduce
-            w = W[i]
-            beta = float(P[i, 0] @ w)
-            if not below[i]:
-                w, beta = -w, -beta
-            found[key] = (tuple(np.flatnonzero(on[i])), w, beta)
-
-    facets = []
-    for incident, w, beta in sorted(found.values(), key=lambda entry: entry[0]):
-        normal = B @ w
-        offset = float(beta + normal @ centroid)
-        facets.append(Facet(normal=normal, offset=offset, incident_vertices=incident))
+        if seen is None:
+            seen = set(sets.view(f"V{L.shape[0]}").ravel().tolist())
+        # the next round: each open set's next subset, and the first subset
+        # of each set spanned here that the screen did not propose
+        rows, subsets, nxt = [], [], []
+        for i in (~hit).nonzero()[0].tolist():
+            walk = walks[i] if walks else islice(combinations(cand[i].nonzero()[0].tolist(), k), 1, None)
+            more = [(cand[i], walk)]
+            if ok[i] and (key := on[i].tobytes()) not in seen:
+                seen.add(key)
+                more.append((on[i], combinations(on[i].nonzero()[0].tolist(), k)))
+            for row, walk in more:
+                if (subset := next(walk, None)) is not None:
+                    rows.append(row)
+                    subsets.append(subset)
+                    nxt.append(walk)
+        if not rows:
+            break
+        cand, idx, walks = np.array(rows), np.array(subsets, dtype=np.intp), nxt
+    facets.sort(key=lambda f: f.incident_vertices)
     return facets

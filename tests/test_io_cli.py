@@ -327,6 +327,21 @@ def test_degree_on_seed202_square_with_rays():
     assert lo <= _seed202_degree("rays") <= hi
 
 
+# A rotated hypercube(4) without dual_rays and a sharp pair on two of its
+# axes, whose true degree is 0.5.  Recipe: t = util.rotated(hypercube(4),
+# np.random.default_rng(26)); write_theory(t, ...) and delete the file's
+# "dual_rays" key; write_measurement(dichotomic_measurement(t, r), ...) for
+# r = t.backend.dual_rays[0] and [2].  Loading it searches 1,820 vertex
+# subsets for the 8 facets.
+def test_rays_less_hypercube4_file(capsys):
+    theory_path = str(FIXTURES / "hypercube4-norays.json")
+    m_paths = [str(FIXTURES / f"hypercube4-sharp-m{i}.json") for i in (1, 2)]
+    assert theory_from_file(theory_path).backend.dual_rays.shape == (8, 5)
+    argv = ["degree", "--theory", theory_path] + [a for p in m_paths for a in ("--measurement", p)]
+    assert main(argv) == 0
+    assert abs(json.loads(capsys.readouterr().out)["degree"] - 0.5) <= 1e-9
+
+
 def test_cli_sweep(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     assert main(["sweep", "--min", "4", "--max", "8", "--out", str(out_path)]) == 0
@@ -401,6 +416,30 @@ def test_non_finite_theory_numbers_are_parse_errors(field, index, bad, tmp_path)
         theory_from_file(theory_path)
     argv = ["compat", "--theory", theory_path, "--measurement", m1_path, "--measurement", m2_path]
     assert main(argv) == 2
+
+
+# a bad number's message names its file, field and index, as the loaders
+# have always written it
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("vertices", [[1, 0, 1], [0, "abc", 1]], "vertices[1][1]: 'abc' is not a finite number"),
+        ("vertices", [[1, 0, True], [0, 1, 1]], "vertices[0][2]: expected a number or numeric string"),
+        ("unit", [0, 0, "inf"], "unit[2]: 'inf' is not a finite number"),
+        ("dual_rays", [[0, 0, 1], [0, None, 1]], "dual_rays[1][1]: expected a number or numeric string"),
+        ("effects", [[0, 0, 1], [0, "nan", 0]], "effects[1][1]: 'nan' is not a finite number"),
+    ],
+)
+def test_parse_error_messages_name_the_bad_number(tmp_path, field, value, where):
+    theory = {"name": "x", "ambient_dim": 3, "vertices": [[1, 0, 1], [0, 1, 1], [-1, 0, 1]], "unit": [0, 0, 1]}
+    measurement = {"outcomes": ["a", "b"], "effects": [[0, 0, 1], [0, 0, 0]]}
+    (measurement if field == "effects" else theory)[field] = value
+    theory_path, m_path = tmp_path / "t.json", tmp_path / "m.json"
+    theory_path.write_text(json.dumps(theory))
+    m_path.write_text(json.dumps(measurement))
+    with pytest.raises(ParseError) as info:
+        measurement_from_file(m_path, theory_from_file(theory_path))
+    assert str(info.value) == f"{m_path if field == 'effects' else theory_path}: {where}"
 
 
 def test_non_finite_effect_is_a_parse_error(tmp_path):

@@ -1,5 +1,6 @@
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from scipy.optimize import linprog
 
 import util
 from gptrat import InputError, LpProblem, SolverError, enumerate_facets, linalg, solve_lp
+from gptrat.io import theory_from_file
 from gptrat.linalg import EPS, Facet
 from gptrat.zoo import hypercube, polygon, simplex
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _scipy_solve(problem: LpProblem):
@@ -410,6 +414,21 @@ def _assert_same_facets(got: list[Facet], want: list[Facet]) -> None:
         assert g.offset == w.offset
 
 
+def _turned(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The vertices under a random orthogonal map."""
+    d = vertices.shape[1]
+    return vertices @ np.linalg.qr(rng.normal(size=(d, d)))[0]
+
+
+def _prism(n: int) -> np.ndarray:
+    base = polygon(n).vertices[:, :2]
+    return np.vstack([np.column_stack([base, np.zeros(n)]), np.column_stack([base, np.ones(n)])])
+
+
+def _cross_polytope(d: int) -> np.ndarray:
+    return np.vstack([np.eye(d), -np.eye(d)])
+
+
 def _oracle_corpus() -> list[np.ndarray]:
     rng = np.random.default_rng(18)
     theories = [polygon(n) for n in range(3, 41)]
@@ -422,12 +441,52 @@ def _oracle_corpus() -> list[np.ndarray]:
     for _ in range(5):  # hull points plus interior points
         hull = rng.normal(size=(8, 3))
         corpus.append(np.vstack([hull, 0.1 * rng.normal(size=(4, 3)) + hull.mean(axis=0)]))
+    # a rotated hypercube(4) read from a file: the first 4-subset of each
+    # facet's vertices is a square, so no facet's normal comes from it
+    corpus.append(theory_from_file(FIXTURES / "hypercube4-norays.json").vertices)
+    # a pentagonal prism, whose rectangles are non-simplicial facets, and
+    # the cross-polytopes, whose k-subsets either hold an antipodal pair,
+    # spanning a hyperplane through the centre, or span a facet
+    corpus += [_turned(v, rng) for v in (_prism(5), _cross_polytope(3), _cross_polytope(4))]
+    # a point on a facet moved off it, in and out, by less and by more than
+    # EPS: the incidence is decided at EPS
+    hull = rng.normal(size=(8, 3))
+    facet = _enumerate_facets_loop(hull)[0]
+    unit = facet.normal / np.linalg.norm(facet.normal)
+    point = hull[list(facet.incident_vertices)].mean(axis=0)
+    corpus += [np.vstack([hull, point + t * EPS * unit]) for t in (-2.0, -0.5, 0.5, 2.0)]
     return corpus
 
 
 def test_enumerate_facets_bit_identical_to_per_subset_search():
     for vertices in _oracle_corpus():
         _assert_same_facets(enumerate_facets(vertices), _enumerate_facets_loop(vertices))
+
+
+def test_facets_flat_only_to_eps_keep_the_search_bits():
+    # A vertex of a non-simplicial facet moved off it by 0.5 or 2 EPS leaves
+    # the facet's vertices coplanar only to within about EPS.  The search of
+    # every subset then also returns near-duplicate vertex sets that other
+    # subsets of the facet span, a subset or superset of a facet's vertices.
+    # The screen proposes fewer of them; every facet returned is still the
+    # search's, bit for bit.  Some of these inputs need a set that only the
+    # exact test finds: the screen and it round a vertex at EPS apart.
+    differ = 0
+    for base in (_prism(3), _prism(4), hypercube(3).vertices[:, :3]):
+        base = base - base.mean(axis=0)
+        for facet in _enumerate_facets_loop(base):
+            unit = facet.normal / np.linalg.norm(facet.normal)
+            for moved, t in product(facet.incident_vertices, (-2.0, -0.5, 0.5, 2.0)):
+                vertices = base.copy()
+                vertices[moved] += t * EPS * unit
+                got = {f.incident_vertices: f for f in enumerate_facets(vertices)}
+                want = {f.incident_vertices: f for f in _enumerate_facets_loop(vertices)}
+                assert got.keys() <= want.keys()
+                _assert_same_facets(list(got.values()), [want[key] for key in got])
+                for key in want.keys() - got.keys():
+                    assert any(set(key) < set(g) or set(key) > set(g) for g in got)
+                differ += got.keys() != want.keys()
+    assert differ > 0
 
 
 def test_hypercube4_facets_dedupe_across_batches():
