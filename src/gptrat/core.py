@@ -17,7 +17,10 @@ with a maximizing state, effect validity, and structural validation):
 
 Operations that need vertices or dual rays go through require_polytope.
 Theory and Polytope keep read-only float copies of their arrays, so a
-Theory can cache what it derives from them (Theory.storability).
+Theory can cache what it derives from them: its storability report
+(Theory.storability), and the last compatibility verdict that
+jointness.check_compatible solved on it, reused only for measurements
+with equal labels and bit-identical effects.
 Validity checks are explicit operations rather than construction-time gates,
 so intentionally invalid objects can be built for negative tests.  Every
 validity decision uses linalg.EPS, except that Polytope.validate requires
@@ -150,6 +153,12 @@ class Theory:
         """The StorabilityReport, solved once per Theory object."""
         from .storability import solve_storability
         return solve_storability(self)
+
+    @cached_property
+    def _compatibility_memo(self) -> dict:
+        """jointness.check_compatible's last answer on this Theory, keyed by
+        its validated input: one entry at most, never a dataclass field."""
+        return {}
 
     @property
     def vertices(self) -> np.ndarray:

@@ -22,6 +22,7 @@ A dichotomic pair is maximally incompatible when its degree is <= 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -74,14 +75,17 @@ def harmonic_smearing_weights(outcome_counts) -> list[float]:
 def _joint_lp(ms, rays: np.ndarray):
     """Joint outcome labels, marginal operator P and cone block of the joint LP.
 
-    The joint outcomes are the label tuples of outcome_tuples, in its order.
-    Row (axis i, outcome x) of the 0/1 matrix P selects the tuples whose
-    i-th label is x (labels are distinct), so P @ joint_effects stacks every
+    The joint outcomes are the label tuples of outcome_tuples, in its order
+    (lexicographic in the outcome indices).  Row (axis i, outcome x) of the
+    0/1 matrix P selects the tuples whose i-th index is x (labels are
+    distinct, so index and label agree), so P @ joint_effects stacks every
     marginal.  The LP variables are the joint effects' cone coefficients, R
     per tuple, and the cone block kron(P, rays.T) maps them to the marginals.
     """
-    labels = [t for t, _ in outcome_tuples(ms)]
-    P = np.array([[t[i] == x for t in labels] for i, m in enumerate(ms) for x in m.outcomes], dtype=float)
+    counts = [m.num_outcomes for m in ms]
+    labels = list(product(*(m.outcomes for m in ms)))
+    index = np.indices(counts).reshape(len(ms), -1)
+    P = np.vstack([np.arange(c)[:, None] == axis for c, axis in zip(counts, index)]).astype(float)
     return labels, P, kron(P, rays.T)
 
 
@@ -91,20 +95,35 @@ def check_compatible(measurements, theory: Theory) -> JointWitness | None:
     Variables are cone coefficients of the joint effects over the dual rays;
     constraints force every marginal to reproduce its measurement.  The joint
     then sums to the unit automatically because each marginal does.
+
+    The measurements are validated on every call, but no LP is solved when
+    they match the previous call's on the same Theory object (equal labels,
+    bit-identical effects): that call's answer, witness or None, is returned
+    again, as the deterministic LP would give it.  The witness's joint
+    effects are read-only.  A call that raises stores nothing.
     """
     rays = require_polytope(theory, "the compatibility LP").dual_rays
     ms = require_valid_measurements(measurements, theory, 2)
+    key = tuple((m.outcomes, m.effects.shape, m.effects.tobytes()) for m in ms)
+    memo = theory._compatibility_memo
+    try:
+        return memo[key]  # one lookup: a concurrent clear cannot split it
+    except KeyError:
+        pass
     labels, P, A = _joint_lp(ms, rays)
     stacked = np.vstack([m.effects for m in ms])
     res = solve_lp(LpProblem(np.zeros(A.shape[1]), A, stacked.ravel()))
-    if res.status != "optimal":
-        return None
-
-    joint_effects = res.solution.reshape(P.shape[1], -1) @ rays
-    errors = np.abs(P @ joint_effects - stacked).max(axis=1)
-    bounds = np.cumsum([0] + [m.num_outcomes for m in ms])
-    residuals = tuple(float(errors[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
-    return JointWitness(Measurement(tuple(labels), joint_effects), residuals)
+    witness = None
+    if res.status == "optimal":
+        joint_effects = res.solution.reshape(P.shape[1], -1) @ rays
+        errors = np.abs(P @ joint_effects - stacked).max(axis=1)
+        bounds = np.cumsum([0] + [m.num_outcomes for m in ms])
+        residuals = tuple(float(errors[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
+        joint_effects.setflags(write=False)
+        witness = JointWitness(Measurement(tuple(labels), joint_effects), residuals)
+    memo.clear()
+    memo[key] = witness
+    return witness
 
 
 def incompatibility_degree(m1: Measurement, m2: Measurement, theory: Theory) -> DegreeReport:
@@ -119,6 +138,10 @@ def incompatibility_degree(m1: Measurement, m2: Measurement, theory: Theory) -> 
     normalized by its own sum.  The tests pin the result
     within 1e-6 of a bisection oracle and check that the pair smeared at
     lam - 1e-9 with the returned trivials is compatible.
+
+    When check_compatible last ran on the same pair and Theory object, its
+    verdict is reused and no compatibility LP is solved here: a compatible
+    pair then costs no LP, an incompatible one the degree LP alone.
     """
     require_polytope(theory, "the incompatibility degree")
     if check_compatible([m1, m2], theory) is not None:

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from gptrat import (
     InputError,
     Measurement,
     SolverError,
+    Theory,
     check_compatible,
     dichotomic_measurement,
     harmonic_joint,
@@ -21,6 +22,7 @@ from gptrat import (
     trivial_measurement,
 )
 from gptrat import jointness, linalg
+from gptrat.core import outcome_tuples
 from gptrat.jointness import _joint_lp
 from gptrat.linalg import EPS, LpProblem, kron, solve_lp
 from gptrat.polygons import odd_polygon_compatible_pair
@@ -184,6 +186,141 @@ def test_check_compatible_validation():
     bad = Measurement(("+", "-"), np.vstack([2.0 * t.unit, -t.unit]))
     with pytest.raises(InputError):
         check_compatible([m, bad], t)
+
+
+@pytest.mark.parametrize("counts", [(2, 2), (2, 3), (3, 4), (2, 2, 2), (2, 3, 4)])
+def test_joint_lp_marginal_operator_matches_the_label_comprehension(counts):
+    # labels that are not indices, so P is checked against label equality
+    ms = [
+        Measurement(tuple(f"{i}{chr(ord('z') - x)}" for x in range(c)), np.full((c, 3), 1.0 / c))
+        for i, c in enumerate(counts)
+    ]
+    labels, P, cone = _joint_lp(ms, np.eye(3))
+    reference = [t for t, _ in outcome_tuples(ms)]
+    assert labels == reference
+    expected = np.array([[t[i] == x for t in reference] for i, m in enumerate(ms) for x in m.outcomes], dtype=float)
+    np.testing.assert_array_equal(P, expected)
+    np.testing.assert_array_equal(cone, kron(expected, np.eye(3)))
+
+
+# ------------------------------------------------------ compatibility memo
+
+
+def _counting_solves(monkeypatch):
+    """Patch jointness.solve_lp to record every problem it is given."""
+    solve, problems = jointness.solve_lp, []
+
+    def counting(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(jointness, "solve_lp", counting)
+    return problems
+
+
+def test_repeated_pair_solves_one_compatibility_lp(monkeypatch):
+    t = polygon(4)
+    compatible = (dichotomic_measurement(t, polygon_ray(t, 1)), trivial_measurement(t, [0.2, 0.8]))
+    incompatible = _ray_pair(t, 1, 2)
+    problems = _counting_solves(monkeypatch)
+    for pair, lps in ((compatible, 1), (incompatible, 2)):
+        problems.clear()
+        first = check_compatible(pair, t)
+        assert check_compatible(pair, t) is first
+        # the degree reuses the verdict: only the degree LP of an
+        # incompatible pair is left to solve
+        incompatibility_degree(*pair, t)
+        assert len(problems) == lps
+    # equal copies hit too: the key is the bytes, not the objects
+    copies = [Measurement(m.outcomes, m.effects.copy()) for m in incompatible]
+    problems.clear()
+    assert check_compatible(copies, t) is None
+    assert problems == []
+
+
+def test_mutated_effects_force_a_fresh_solve(monkeypatch):
+    t = polygon(4)
+    m = dichotomic_measurement(t, polygon_ray(t, 1))
+    n = trivial_measurement(t, [0.5, 0.5])
+    problems = _counting_solves(monkeypatch)
+    assert check_compatible([m, n], t) is not None
+    n.effects[:] = dichotomic_measurement(t, polygon_ray(t, 2)).effects
+    assert check_compatible([m, n], t) is None
+    assert len(problems) == 2
+    assert incompatibility_degree(m, n, t).degree < 1.0
+
+
+def test_alternated_pairs_answer_as_a_fresh_theory_does():
+    rng = np.random.default_rng(27)
+    t = util.rotated(polygon(6), rng)
+    pairs = [
+        util.random_compatible_pair(t, rng),
+        (util.random_extreme_dichotomic(t, rng), util.random_noisy_dichotomic(t, rng)),
+        (util.random_extreme_dichotomic(t, rng), _three_outcome(t, rng)),
+    ]
+    for pair in pairs * 2:
+        fresh = replace(t)
+        witness, expected = check_compatible(pair, t), check_compatible(pair, fresh)
+        assert (witness is None) == (expected is None)
+        if witness is not None:
+            assert witness.joint.outcomes == expected.joint.outcomes
+            np.testing.assert_array_equal(witness.joint.effects, expected.joint.effects)
+            assert witness.marginal_residuals == expected.marginal_residuals
+        assert incompatibility_degree(*pair, t).degree == incompatibility_degree(*pair, replace(t)).degree
+    # both verdicts are exercised
+    assert {check_compatible(pair, t) is None for pair in pairs} == {False, True}
+
+
+def test_a_solver_error_is_not_memoized(monkeypatch):
+    t = polygon(4)
+    pair = _ray_pair(t, 1, 2)
+    solve, problems = jointness.solve_lp, []
+
+    def fails_once(problem):
+        problems.append(problem)
+        if len(problems) == 1:
+            raise SolverError("simplex failed to terminate")
+        return solve(problem)
+
+    monkeypatch.setattr(jointness, "solve_lp", fails_once)
+    with pytest.raises(SolverError):
+        check_compatible(pair, t)
+    assert check_compatible(pair, t) is None
+    assert len(problems) == 2
+
+
+def test_a_replaced_theory_starts_with_an_empty_memo(monkeypatch):
+    t = polygon(4)
+    pair = _ray_pair(t, 1, 2)
+    check_compatible(pair, t)
+    problems = _counting_solves(monkeypatch)
+    assert check_compatible(pair, replace(t, name="square copy")) is None
+    assert len(problems) == 1
+
+
+def test_a_memoized_witness_is_read_only():
+    t = polygon(4)
+    pair = (dichotomic_measurement(t, polygon_ray(t, 1)), trivial_measurement(t, [0.2, 0.8]))
+    witness = check_compatible(pair, t)
+    assert check_compatible(pair, t) is witness
+    with pytest.raises(ValueError):
+        witness.joint.effects[0, 0] = 1.0
+
+
+def test_the_memo_is_not_a_dataclass_field():
+    bases = [polygon(n) for n in range(4, 11)] + [hypercube(2), hypercube(3), simplex(3), simplex(4)]
+    assert [f.name for f in fields(Theory)] == ["name", "ambient_dim", "unit", "backend"]
+    maximal = 0
+    for t in bases:
+        before = repr(t)
+        for m, n in util.ray_pairs(t):
+            # warm: the verdict comes from the memo; cold: from a fresh Theory
+            check_compatible([m, n], t)
+            flagged = maximally_incompatible_dichotomic(m, n, t)
+            assert flagged == maximally_incompatible_dichotomic(m, n, replace(t))
+            maximal += flagged
+        assert repr(t) == before
+    assert maximal == 20
 
 
 # -------------------------------------------------------------------- degree
