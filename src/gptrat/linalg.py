@@ -156,7 +156,12 @@ def _simplex(T: np.ndarray, basis: np.ndarray, n_ext: int) -> tuple[str, int]:
         # of these rows above -_DRIFT; of those rows the largest pivot
         # element leaves, then the smallest basis index
         ties = rows[level / elements <= ((level + _DRIFT) / elements).min()]
-        row = ties[0] if ties.size == 1 else ties[np.lexsort((basis[ties], -column[ties]))[0]]
+        if ties.size == 1:
+            row = ties[0]
+        elif ties.size:
+            row = ties[np.lexsort((basis[ties], -column[ties]))[0]]
+        else:  # a NaN ratio (an overflowed tableau) matches no row
+            raise SolverError("simplex ratio test found no leaving row (NaN in the tableau)")
         # a leaving value that drifted below zero steps by zero, not backwards
         if rhs[row] < 0.0:
             rhs[row] = 0.0

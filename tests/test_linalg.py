@@ -149,6 +149,28 @@ def test_nan_residual_fails_the_final_check():
         solve_lp(LpProblem(c, A, b))
 
 
+def _overflowing_draw(rng: np.random.Generator):
+    """One random LP with entries up to 1e300, some zero, some free variables."""
+    m, n = int(rng.integers(0, 5)), int(rng.integers(0, 6))
+    A = rng.normal(size=(m, n)) * 10.0 ** rng.choice([0, 150, 300, -300], (m, n))
+    A[rng.random((m, n)) < 0.3] = 0
+    b = rng.normal(size=m) * 10.0 ** rng.choice([0, 300], m)
+    c = rng.normal(size=n) * 10.0 ** rng.choice([0, 300], n)
+    return LpProblem(c, A, b, rng.random(n) >= 0.2)
+
+
+def test_nan_ratio_raises_solver_error():
+    # draw 2865 of default_rng(0) overflows its tableau into a NaN ratio,
+    # which no row of Harris's test matches; that is a SolverError, not
+    # an IndexError from an empty tie set
+    rng = np.random.default_rng(0)
+    for _ in range(2865):
+        _overflowing_draw(rng)
+    problem = _overflowing_draw(rng)
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="no leaving row"):
+        solve_lp(problem)
+
+
 # Beale's cycling LP (1955): minimize -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7
 # with slacks x1, x2, x3; the optimum is -1/20 at x = (3/100, 0, 0, 1/25,
 # 0, 1, 0)
