@@ -10,12 +10,14 @@ always a valid measurement; its i-th marginal is the noisy version
 lam_i M^(i) + (1 - lam_i) (u / m_i) with lam_i = h / (k m_i), h the harmonic
 mean of the outcome counts.
 
-Joint outcomes are core.outcome_tuples, in its order.  Exact compatibility
-on a polytope theory is one feasibility LP over the dual-ray cone; a pair's
-degree of incompatibility is 1 when it is feasible, and otherwise the
-largest lam for which lam M + (1 - lam) p u and lam N + (1 - lam) q u stay
-compatible for some distributions p, q (the worst trivial noise), read off
-one LP as 1 / (1 + s) (Busch, Heinosaari, Schultz and Stevens, EPL 2013).
+Joint outcomes are core.outcome_tuples, in its order.  On a polytope
+theory one LP over the dual-ray cone, solved once per set of measurements
+on a Theory object, answers compatibility and the degree: its optimum s*
+is the least total trivial noise that leaves the k measurements with a
+joint.  They are compatible exactly when s* <= EPS; a pair's degree of
+incompatibility is then 1, and otherwise 1 / (1 + s*), the largest lam for
+which lam M + (1 - lam) p u and lam N + (1 - lam) q u stay compatible for
+some distributions p, q (Busch, Heinosaari, Schultz and Stevens, EPL 2013).
 A dichotomic pair is maximally incompatible when its degree is <= 1/2.
 """
 
@@ -75,12 +77,11 @@ def harmonic_smearing_weights(outcome_counts) -> list[float]:
 def _joint_lp(ms, rays: np.ndarray):
     """Joint outcome labels, marginal operator P and cone block of the joint LP.
 
-    The joint outcomes are the label tuples of outcome_tuples, in its order
-    (lexicographic in the outcome indices).  Row (axis i, outcome x) of the
-    0/1 matrix P selects the tuples whose i-th index is x (labels are
-    distinct, so index and label agree), so P @ joint_effects stacks every
-    marginal.  The LP variables are the joint effects' cone coefficients, R
-    per tuple, and the cone block kron(P, rays.T) maps them to the marginals.
+    The labels are outcome_tuples' (lexicographic in the outcome indices).
+    Row (axis i, outcome x) of the 0/1 matrix P selects the tuples whose
+    i-th index is x, so P @ joint_effects stacks every marginal, and the
+    cone block kron(P, rays.T) maps the joint's cone coefficients, R per
+    tuple, to the marginals.
     """
     counts = [m.num_outcomes for m in ms]
     labels = list(product(*(m.outcomes for m in ms)))
@@ -89,83 +90,80 @@ def _joint_lp(ms, rays: np.ndarray):
     return labels, P, kron(P, rays.T)
 
 
-def check_compatible(measurements, theory: Theory) -> JointWitness | None:
-    """Exact joint measurement via LP, or None when provably incompatible.
+def _solve_joint(measurements, theory: Theory, operation: str):
+    """(s*, witness, noise) of the measurements' joint LP, memoized.
 
-    Variables are cone coefficients of the joint effects over the dual rays;
-    constraints force every marginal to reproduce its measurement.  The joint
-    then sums to the unit automatically because each marginal does.
-
-    The measurements are validated on every call, but no LP is solved when
-    they match the previous call's on the same Theory object (equal labels,
-    bit-identical effects): that call's answer, witness or None, is returned
-    again, as the deterministic LP would give it.  The witness's joint
-    effects are read-only.  A call that raises stores nothing.
+    Beside the cone coefficients of a joint J, the LP has one noise weight
+    w_x >= 0 per marginal outcome, with marginals M^(i)_x + w_x u, and it
+    minimizes the first marginal's noise sum s; every marginal's sums to s,
+    as each sums to sum J = (1 + s) u.  s = k - 1 is always feasible:
+    (1/k) sum_i M^(i)_{x_i} prod_{j != i} p_j(x_j) has marginals
+    (M^(i) + (k - 1) p_i u) / k.  No optimum (the dual rays miss part of
+    the effect cone) or s* outside [0, k - 1] within EPS is a SolverError.
+    The witness is J when s* <= EPS, else None; noise is w clipped at zero,
+    per marginal.  The memo keeps one entry, keyed by labels and effects.
     """
-    rays = require_polytope(theory, "the compatibility LP").dual_rays
+    rays = require_polytope(theory, operation).dual_rays
     ms = require_valid_measurements(measurements, theory, 2)
     key = tuple((m.outcomes, m.effects.shape, m.effects.tobytes()) for m in ms)
     memo = theory._compatibility_memo
-    try:
-        return memo[key]  # one lookup: a concurrent clear cannot split it
-    except KeyError:
-        pass
-    labels, P, A = _joint_lp(ms, rays)
+    entry = memo.get(key)  # one lookup: a concurrent clear cannot split it
+    if entry is not None:
+        return entry
+    labels, P, cone = _joint_lp(ms, rays)
+    nbeta, k = cone.shape[1], len(ms)
+    bounds = np.cumsum([0] + [m.num_outcomes for m in ms])
+    A = np.hstack([cone, -kron(np.eye(len(P)), theory.unit[:, None])])
+    objective = np.concatenate([np.zeros(nbeta), -np.ones(bounds[1]), np.zeros(bounds[-1] - bounds[1])])
     stacked = np.vstack([m.effects for m in ms])
-    res = solve_lp(LpProblem(np.zeros(A.shape[1]), A, stacked.ravel()))
+    res = solve_lp(LpProblem(objective, A, stacked.ravel()))
+    s = -res.value
+    if res.status != "optimal" or not -EPS <= s <= k - 1 + EPS:
+        raise SolverError(f"joint LP ended with status {res.status} and noise {s}, outside [0, {k - 1}]")
     witness = None
-    if res.status == "optimal":
-        joint_effects = res.solution.reshape(P.shape[1], -1) @ rays
+    if s <= EPS:
+        joint_effects = res.solution[:nbeta].reshape(P.shape[1], -1) @ rays
         errors = np.abs(P @ joint_effects - stacked).max(axis=1)
-        bounds = np.cumsum([0] + [m.num_outcomes for m in ms])
-        residuals = tuple(float(errors[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
+        residuals = tuple(float(e.max()) for e in np.split(errors, bounds[1:-1]))
         joint_effects.setflags(write=False)
         witness = JointWitness(Measurement(tuple(labels), joint_effects), residuals)
+    noise = np.split(np.clip(res.solution[nbeta:], 0.0, None), bounds[1:-1])
     memo.clear()
-    memo[key] = witness
-    return witness
+    memo[key] = entry = (s, witness, tuple(noise))
+    return entry
+
+
+def check_compatible(measurements, theory: Theory) -> JointWitness | None:
+    """Exact joint measurement, or None when provably incompatible.
+
+    Compatible exactly when the joint LP's least noise s* is at most EPS;
+    the witness is then its joint, with each marginal's largest deviation.
+    The measurements are validated on every call, but no LP is solved when
+    the last joint LP on this Theory object, from either this function or
+    incompatibility_degree, had equal labels and bit-identical effects.
+    The witness's joint effects are read-only.
+    """
+    return _solve_joint(measurements, theory, "the compatibility LP")[1]
 
 
 def incompatibility_degree(m1: Measurement, m2: Measurement, theory: Theory) -> DegreeReport:
     """Largest lam in [1/2, 1] keeping the smeared pair compatible.
 
-    lam = 1 is decided by the compatibility LP (check_compatible), so
-    compatible pairs report exactly 1.0; the noise then has weight 0, and
-    the reported trivial parts are the uniform distributions.  Otherwise one
-    LP finds the least total noise s = sum w = sum w' with w, w' >= 0 for
-    which M_x + w_x u and N_y + w'_y u have a joint; then lam = 1 / (1 + s)
-    and the trivial parts are w / s and w' / s, each clipped at zero and
-    normalized by its own sum.  The tests pin the result
-    within 1e-6 of a bisection oracle and check that the pair smeared at
-    lam - 1e-9 with the returned trivials is compatible.
-
-    When check_compatible last ran on the same pair and Theory object, its
-    verdict is reused and no compatibility LP is solved here: a compatible
-    pair then costs no LP, an incompatible one the degree LP alone.
+    Read off the pair's joint LP and memo entry, as check_compatible's: s*
+    is the least noise s = sum w = sum w' (w, w' >= 0) for which M_x + w_x u
+    and N_y + w'_y u have a joint.  At s* <= EPS the degree is exactly 1.0,
+    with uniform trivial parts; otherwise it is 1 / (1 + s*), with trivial
+    parts w and w' each clipped at zero and normalized by its own sum.  The
+    tests pin it within 1e-6 of a bisection oracle and check that the pair
+    smeared at lam - 1e-9 with the returned trivials is compatible.
     """
-    require_polytope(theory, "the incompatibility degree")
-    if check_compatible([m1, m2], theory) is not None:
+    s, _, noise = _solve_joint([m1, m2], theory, "the incompatibility degree")
+    if s <= EPS:
         uniform = tuple(np.full(m.num_outcomes, 1.0 / m.num_outcomes) for m in (m1, m2))
         return DegreeReport(1.0, uniform)
-    c1, c2 = m1.num_outcomes, m2.num_outcomes
-    _, _, cone = _joint_lp([m1, m2], theory.backend.dual_rays)
-    nbeta = cone.shape[1]
-    # columns: cone coefficients, then w (c1) and w' (c2); sum w = sum w'
-    # needs no row: summing either marginal's rows gives (1 + sum) u = sum J
-    A = np.hstack([cone, -kron(np.eye(c1 + c2), theory.unit[:, None])])
-    b = np.concatenate([m1.effects.ravel(), m2.effects.ravel()])
-    objective = np.concatenate([np.zeros(nbeta), -np.ones(c1), np.zeros(c2)])
-    res = solve_lp(LpProblem(objective, A, b))
-    s = -res.value
-    if res.status != "optimal" or not 0.0 < s <= 1.0 + EPS:
-        raise SolverError(f"degree LP ended with status {res.status} and noise {s}, outside (0, 1]")
-    # w and w' may dip just below zero; clipped and normalized each on its
-    # own, they stay distributions however small s is
-    noise = np.clip(res.solution[nbeta:], 0.0, None)
-    trivials = (noise[:c1], noise[c1:])
-    if min(w.sum() for w in trivials) <= 0.0:
-        raise SolverError(f"degree LP ended with no positive noise weight on one side at noise {s}")
-    return DegreeReport(1.0 / (1.0 + s), tuple(w / w.sum() for w in trivials))
+    if min(w.sum() for w in noise) <= 0.0:
+        raise SolverError(f"joint LP ended with no positive noise weight on one side at noise {s}")
+    return DegreeReport(1.0 / (1.0 + s), tuple(w / w.sum() for w in noise))
 
 
 def maximally_incompatible_dichotomic(m1: Measurement, m2: Measurement, theory: Theory) -> bool:
@@ -174,7 +172,7 @@ def maximally_incompatible_dichotomic(m1: Measurement, m2: Measurement, theory: 
     Happens exactly when four states t1..t4 exist with M(+) certain on t1, t2
     and impossible on t3, t4, N(+) certain on t1, t4 and impossible on t2, t3,
     and t1 + t3 = t2 + t4 (an affine parallelogram).  It is decided as
-    degree <= 1/2 (noise s = 1 in the degree LP), within EPS.
+    degree <= 1/2 (noise s* = 1 in the joint LP), within EPS.
     """
     require_polytope(theory, "the maximal-incompatibility test")
     if m1.num_outcomes != 2 or m2.num_outcomes != 2:

@@ -342,6 +342,23 @@ def test_rays_less_hypercube4_file(capsys):
     assert abs(json.loads(capsys.readouterr().out)["degree"] - 0.5) <= 1e-9
 
 
+# The square with its fourth dual ray dropped and a pair on it.  Recipe:
+# t = polygon(4); write_theory(dataclasses.replace(t, backend=
+# dataclasses.replace(t.backend, dual_rays=t.backend.dual_rays[:3])), ...);
+# write_measurement(dichotomic_measurement(t, t.backend.dual_rays[1]), ...)
+# as m1 and trivial_measurement(t, [0.5, 0.5]) as m2.  The pair is
+# compatible, but m1's u - r is the dropped ray, so the joint LP has no
+# feasible point: a solver error, not a "compatible": false verdict.
+@pytest.mark.parametrize("cmd", ["compat", "degree"])
+def test_incomplete_rays_file_exits_with_a_solver_error(cmd, capsys):
+    base = FIXTURES / "polygon4-3rays"
+    argv = [cmd, "--theory", f"{base}.json", "--measurement", f"{base}-m1.json", "--measurement", f"{base}-m2.json"]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: joint LP ended with status infeasible")
+
+
 def test_cli_sweep(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     assert main(["sweep", "--min", "4", "--max", "8", "--out", str(out_path)]) == 0

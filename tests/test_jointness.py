@@ -2,6 +2,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import util
 
@@ -188,6 +189,63 @@ def test_check_compatible_validation():
         check_compatible([m, bad], t)
 
 
+def test_triples_and_quadruples_match_a_highs_feasibility_lp():
+    # the joint LP of k measurements has the feasible point s = k - 1 and
+    # decides compatibility at s* <= EPS; HiGHS decides the pure
+    # compatibility LP (cone coefficients reproducing every marginal)
+    rng = np.random.default_rng(311)
+    bases = [polygon(n) for n in range(4, 11)] + [hypercube(2), hypercube(3), simplex(3)]
+    verdicts = {3: set(), 4: set()}
+    for base in bases:
+        t = util.rotated(base, rng)
+        for k in (3, 3, 3, 4, 4, 4):
+            ms = [util.random_noisy_dichotomic(t, rng, float(rng.uniform(0.4, 1.0))) for _ in range(k)]
+            witness = check_compatible(ms, t)
+            _, _, cone = _joint_lp(ms, t.backend.dual_rays)
+            b = np.concatenate([m.effects.ravel() for m in ms])
+            ref = linprog(np.zeros(cone.shape[1]), A_eq=cone, b_eq=b, method="highs")
+            assert ref.status in (0, 2), (t.name, ref.message)
+            assert (witness is not None) == (ref.status == 0), (t.name, k)
+            if witness is not None:
+                assert max(witness.marginal_residuals) <= 1e-9, (t.name, witness.marginal_residuals)
+                assert is_valid_measurement(witness.joint, t)
+            verdicts[k].add(witness is not None)
+    assert verdicts == {3: {False, True}, 4: {False, True}}
+
+
+def test_three_cube_axes_need_the_largest_noise():
+    # the cube's three axis measurements reach the joint LP's bound
+    # s* = k - 1 = 2 (their smearings at 1/3 are the harmonic joint's
+    # marginals), and smeared just above 1/3 they stay incompatible
+    t = hypercube(3)
+    rays = t.backend.dual_rays
+    axes = [dichotomic_measurement(t, rays[i]) for i in (0, 2, 4)]
+    assert check_compatible(axes, t) is None
+    s, _, noise = jointness._solve_joint(axes, t, "the test")
+    assert abs(s - 2.0) <= 1e-9
+    assert all(abs(w.sum() - s) <= 1e-9 for w in noise)
+    half = trivial_measurement(t, [0.5, 0.5], ("+", "-"))
+    for lam, compatible in ((1 / 3, True), (1 / 3 + 1e-7, False)):
+        smeared = [mix([m, half], [lam, 1 - lam]) for m in axes]
+        assert (check_compatible(smeared, t) is not None) == compatible, lam
+
+
+def test_an_incomplete_ray_list_is_a_solver_error_not_a_verdict():
+    # the square with its fourth dual ray dropped: every measurement is
+    # compatible with a trivial one, but u - r, an effect of M = (r, u - r)
+    # for r = rays[1], is the dropped ray and lies outside the cone of the
+    # three left, so the joint LP has no feasible point at all.  "None"
+    # would be a wrong verdict; only an error is right.
+    t = polygon(4)
+    rays = t.backend.dual_rays
+    short = replace(t, backend=replace(t.backend, dual_rays=rays[:3]))
+    pair = (dichotomic_measurement(short, rays[1]), trivial_measurement(short, [0.5, 0.5]))
+    with pytest.raises(SolverError, match="status infeasible"):
+        check_compatible(pair, short)
+    with pytest.raises(SolverError, match="status infeasible"):
+        incompatibility_degree(*pair, short)
+
+
 @pytest.mark.parametrize("counts", [(2, 2), (2, 3), (3, 4), (2, 2, 2), (2, 3, 4)])
 def test_joint_lp_marginal_operator_matches_the_label_comprehension(counts):
     # labels that are not indices, so P is checked against label equality
@@ -223,14 +281,19 @@ def test_repeated_pair_solves_one_compatibility_lp(monkeypatch):
     compatible = (dichotomic_measurement(t, polygon_ray(t, 1)), trivial_measurement(t, [0.2, 0.8]))
     incompatible = _ray_pair(t, 1, 2)
     problems = _counting_solves(monkeypatch)
-    for pair, lps in ((compatible, 1), (incompatible, 2)):
+    for pair in (compatible, incompatible):
         problems.clear()
         first = check_compatible(pair, t)
         assert check_compatible(pair, t) is first
-        # the degree reuses the verdict: only the degree LP of an
-        # incompatible pair is left to solve
+        # the degree reads the same joint LP: one LP per pair either way
         incompatibility_degree(*pair, t)
-        assert len(problems) == lps
+        assert len(problems) == 1
+        # and in the other order, on a fresh Theory
+        problems.clear()
+        fresh = replace(t)
+        incompatibility_degree(*pair, fresh)
+        assert (check_compatible(pair, fresh) is None) == (first is None)
+        assert len(problems) == 1
     # equal copies hit too: the key is the bytes, not the objects
     copies = [Measurement(m.outcomes, m.effects.copy()) for m in incompatible]
     problems.clear()

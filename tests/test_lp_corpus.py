@@ -34,6 +34,13 @@ infeasible LPs whose phase-one artificial sum lies nearest the cutoff
 EPS * max(1, |b|_inf), to 48 in all.  (No captured LP came within 1e-6 of
 the cutoff; the nearest was 0.023 above it.)  Append all 21 defect LPs.
 Save with np.savez_compressed.
+
+The `compatible` LPs come from the pure compatibility LP (joint cone
+coefficients reproducing every marginal, no noise columns) that
+check_compatible solved before the joint LP, with its noise columns,
+answered compatibility and the degree alike.  They stay as solver
+coverage; the corpus is not regenerated, so the recipe above describes
+the code it was captured from.
 """
 
 from pathlib import Path

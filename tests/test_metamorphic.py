@@ -19,6 +19,8 @@ from gptrat import (
     maximally_incompatible_dichotomic,
     validate_theory,
 )
+from gptrat.jointness import _joint_lp
+from gptrat.linalg import LpProblem, solve_lp
 from gptrat.zoo import hypercube, polygon
 
 BASES = [polygon(n) for n in range(4, 11)] + [hypercube(2), hypercube(3)]
@@ -68,18 +70,23 @@ def test_ill_scaled_degrees_are_right_or_raise():
 
 def test_sign_check_failure_names_the_negative_entry():
     # the combined maps drawn round by round (every theory's first map, then
-    # every second one): on polygon-7's second map, phase one leaves
-    # artificials near 1.6e-4 whose drive-out puts a basic value near -0.2,
-    # while the equality residual stays at round-off, so the error must name
-    # the entry that failed.  Row equilibration in solve_lp may make this
-    # LP solvable; the test then needs another failing LP.
+    # every second one): on polygon-7's second map, ray pair 3's pure
+    # compatibility LP (joint cone coefficients reproducing both marginals,
+    # no noise columns) makes phase one leave artificials near 1.6e-4 whose
+    # drive-out puts a basic value near -0.2, while the equality residual
+    # stays at round-off, so the error must name the entry that failed.
+    # incompatibility_degree's joint LP answers the pair (0.8629...).  Row
+    # equilibration in solve_lp may make this LP solvable; the test then
+    # needs another failing LP.
     rng = np.random.default_rng(61)
     maps = [[util.unit_fixing_map(rng, b.ambient_dim, 1e3, 1e3) for b in BASES] for _ in range(2)]
     base = BASES[3]
     assert base.name == "polygon-7"
     t = util.mapped(base, maps[1][3])
     m, n = util.ray_pairs(t)[3]
+    _, _, cone = _joint_lp([m, n], t.backend.dual_rays)
+    problem = LpProblem(np.zeros(cone.shape[1]), cone, np.concatenate([m.effects.ravel(), n.effects.ravel()]))
     with pytest.raises(SolverError, match="sign-constrained entry") as err:
-        incompatibility_degree(m, n, t)
+        solve_lp(problem)
     lowest = float(str(err.value).rsplit(" ", 1)[1].rstrip(")"))
     assert lowest < -1e-3
