@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 
+from .core import harmonic_mean
 from .errors import InputError, ParseError, SolverError, ValidationError
 from .io import measurement_from_file, theory_from_file
 from .jointness import check_compatible, incompatibility_degree
@@ -103,7 +104,7 @@ def cmd_files(args) -> int:
 def _rat_payload(ms, theory) -> dict:
     report = rat_success(ms, theory)
     counts = report.outcome_counts
-    h = report.k / sum(1.0 / c for c in counts)
+    h = harmonic_mean(counts)
     storability = information_storability(theory).value
     bounds = {
         "power_average": sum(decoding_power(m, theory) / c for m, c in zip(ms, counts))

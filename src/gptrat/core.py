@@ -187,16 +187,44 @@ class Measurement:
         return len(self.outcomes)
 
 
-def outcome_tuples(measurements):
-    """(labels, M^(1)_{x_1} + ... + M^(k)_{x_k}) for every outcome tuple.
+def outcome_tuples(measurements) -> tuple[list[tuple], np.ndarray]:
+    """(labels, sums): every outcome tuple and its summed effect.
 
-    Tuples come in lexicographic order of the outcome indices, and the
-    effects are added left to right.  This order is the joint outcome order
-    everywhere: RAT sums, the harmonic joint and the joint-measurement LP.
+    labels[t] is the t-th tuple (x_1, ..., x_k) of outcome labels and
+    sums[t] is M^(1)_{x_1} + ... + M^(k)_{x_k}, with the tuples in
+    lexicographic order of the outcome indices.  This order is the joint
+    outcome order everywhere: RAT sums, the harmonic joint and the
+    joint-measurement LP.  InputError on no measurements or on effects of
+    different widths.
     """
-    for pairs in product(*(zip(m.outcomes, m.effects) for m in measurements)):
-        labels, effects = zip(*pairs)
-        yield labels, sum(effects)
+    ms = list(measurements)
+    if not ms:
+        raise InputError("need at least one measurement")
+    if len({m.effects.shape[1] for m in ms}) > 1:
+        raise InputError("measurements live in different ambient spaces")
+    return _tuple_table([m.outcomes for m in ms], [m.effects for m in ms])
+
+
+def _tuple_table(outcomes, blocks) -> tuple[list[tuple], np.ndarray]:
+    """outcome_tuples' table for label lists and same-width row blocks.
+
+    The rows are added left to right, by broadcasting, onto a zero row: the
+    bits of Python's sum(rows), -0.0 + 0 = 0.0 included.  Unchecked.
+    """
+    d = blocks[0].shape[1]
+    sums = np.zeros((1, d))
+    for b in blocks:
+        sums = (sums[:, None, :] + b[None, :, :]).reshape(-1, d)
+    return list(product(*outcomes)), sums
+
+
+def harmonic_mean(outcome_counts) -> float:
+    """k / sum_i (1 / m_i); InputError unless the counts are a non-empty
+    list of positive integers."""
+    counts = list(outcome_counts)
+    if not counts or not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c > 0 for c in counts):
+        raise InputError("outcome counts must be a non-empty list of positive integers")
+    return float(len(counts) / sum(1.0 / c for c in counts))
 
 
 def require_polytope(theory: Theory, operation: str) -> Polytope:

@@ -86,6 +86,12 @@ def _parse_vector(value, where: str) -> np.ndarray:
     return np.array(_parse_numbers(value, where))
 
 
+def _write_json(payload: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -154,9 +160,7 @@ def write_theory(theory: Theory, path) -> None:
         "unit": [_num_to_str(x) for x in theory.unit],
         "dual_rays": _matrix_to_str(backend.dual_rays),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(payload, path)
 
 
 def measurement_from_file(path, theory: Theory) -> Measurement:
@@ -191,10 +195,4 @@ def measurement_from_file(path, theory: Theory) -> Measurement:
 
 
 def write_measurement(m: Measurement, path) -> None:
-    payload = {
-        "outcomes": list(m.outcomes),
-        "effects": _matrix_to_str(m.effects),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json({"outcomes": list(m.outcomes), "effects": _matrix_to_str(m.effects)}, path)

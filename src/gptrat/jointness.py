@@ -24,7 +24,7 @@ A dichotomic pair is maximally incompatible when its degree is <= 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate
 from math import prod
 
 import numpy as np
@@ -32,6 +32,8 @@ import numpy as np
 from .core import (
     Measurement,
     Theory,
+    _tuple_table,
+    harmonic_mean,
     outcome_tuples,
     require_polytope,
     require_valid_measurements,
@@ -57,36 +59,35 @@ def harmonic_joint(measurements) -> Measurement:
     ms = list(measurements)
     if len(ms) < 2:
         raise InputError("need at least two measurements")
+    labels, sums = outcome_tuples(ms)
     counts = [m.num_outcomes for m in ms]
-    dim = ms[0].effects.shape[1]
-    if any(m.effects.shape[1] != dim for m in ms):
-        raise InputError("measurements live in different ambient spaces")
     kappa = prod(counts) * sum(1.0 / c for c in counts)
-    labels, sums = zip(*outcome_tuples(ms))
-    return Measurement(labels, np.array(sums) / kappa)
+    return Measurement(labels, sums / kappa)
 
 
 def harmonic_smearing_weights(outcome_counts) -> list[float]:
     """Noise weights lam_i = h / (k m_i) of the harmonic joint's marginals."""
     counts = list(outcome_counts)
-    k = len(counts)
-    h = k / sum(1.0 / c for c in counts)
-    return [h / (k * c) for c in counts]
+    h = harmonic_mean(counts)
+    return [h / (len(counts) * c) for c in counts]
 
 
 def _joint_lp(ms, rays: np.ndarray):
     """Joint outcome labels, marginal operator P and cone block of the joint LP.
 
-    The labels are outcome_tuples' (lexicographic in the outcome indices).
-    Row (axis i, outcome x) of the 0/1 matrix P selects the tuples whose
-    i-th index is x, so P @ joint_effects stacks every marginal, and the
-    cone block kron(P, rays.T) maps the joint's cone coefficients, R per
-    tuple, to the marginals.
+    Labels and P come from the table behind core.outcome_tuples, so they
+    share its order.  Measurement i contributes the one-hot rows
+    e_(offset_i + x) of the identity on the stacked marginal outcomes, so
+    tuple t sums to the t-th column of the 0/1 matrix P: row (i, x) of P
+    selects the tuples with x_i = x.  P @ joint_effects then stacks every
+    marginal, and the cone block kron(P, rays.T) maps the joint's cone
+    coefficients, R per tuple, to the marginals.
     """
-    counts = [m.num_outcomes for m in ms]
-    labels = list(product(*(m.outcomes for m in ms)))
-    index = np.indices(counts).reshape(len(ms), -1)
-    P = np.vstack([np.arange(c)[:, None] == axis for c, axis in zip(counts, index)]).astype(float)
+    bounds = list(accumulate((m.num_outcomes for m in ms), initial=0))
+    eye = np.eye(bounds[-1])
+    one_hot = [eye[a:b] for a, b in zip(bounds, bounds[1:])]
+    labels, columns = _tuple_table([m.outcomes for m in ms], one_hot)
+    P = np.ascontiguousarray(columns.T)
     return labels, P, kron(P, rays.T)
 
 

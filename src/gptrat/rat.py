@@ -20,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-from .core import Measurement, Theory, norm_with_argmax, outcome_tuples, require_valid_measurements
+from .core import Measurement, Theory, harmonic_mean, norm_with_argmax, outcome_tuples, require_valid_measurements
 from .errors import InputError
 from .jointness import harmonic_joint
 from .storability import decoding_power, information_storability
@@ -46,7 +46,7 @@ class CertificateVerdict:
 def rat_success(measurements, theory: Theory) -> RatReport:
     """Optimal average success probability of the random access test."""
     ms = require_valid_measurements(measurements, theory, 1)
-    per_tuple = {labels: norm_with_argmax(summed, theory) for labels, summed in outcome_tuples(ms)}
+    per_tuple = {labels: norm_with_argmax(summed, theory) for labels, summed in zip(*outcome_tuples(ms))}
     counts = tuple(m.num_outcomes for m in ms)
     p_bar = sum(norm for norm, _ in per_tuple.values()) / (len(ms) * prod(counts))
     return RatReport(p_bar, per_tuple, len(ms), counts)
@@ -55,20 +55,23 @@ def rat_success(measurements, theory: Theory) -> RatReport:
 def rat_success_given_states(measurements, encoding) -> float:
     """Average success with a fixed encoding of outcome tuples into states.
 
-    encoding maps each outcome-label tuple to a vector.  The result is a lower
-    bound on rat_success only when every encoded vector is a state; nothing
-    here checks that, and a vector outside the state space can exceed the
-    optimum (3 s_1 for every tuple on polygon(5) gives 1.5 against 0.857).
+    encoding maps each outcome-label tuple to a vector of the effects'
+    width.  The result is a lower bound on rat_success only when every
+    encoded vector is a state; nothing here checks that, and a vector
+    outside the state space can exceed the optimum (3 s_1 for every tuple on
+    polygon(5) gives 1.5 against 0.857).
     """
     ms = list(measurements)
-    if not ms:
-        raise InputError("need at least one measurement")
+    tuples, sums = outcome_tuples(ms)
     total = 0.0
-    for labels, summed in outcome_tuples(ms):
+    for labels, summed in zip(tuples, sums):
         if labels not in encoding:
             raise InputError(f"encoding is missing outcome tuple {labels}")
-        total += float(summed @ np.asarray(encoding[labels], dtype=float))
-    return total / (len(ms) * prod(m.num_outcomes for m in ms))
+        state = np.asarray(encoding[labels], dtype=float)
+        if state.shape != summed.shape:
+            raise InputError(f"outcome tuple {labels} is encoded by a vector of shape {state.shape}, not {summed.shape}")
+        total += float(summed @ state)
+    return total / (len(ms) * len(tuples))
 
 
 def connection_check(measurements, theory: Theory) -> tuple[float, float, float]:
@@ -78,8 +81,7 @@ def connection_check(measurements, theory: Theory) -> tuple[float, float, float]
     counts is zero up to rounding; it is returned for auditability.
     """
     ms = require_valid_measurements(measurements, theory, 2)
-    counts = [m.num_outcomes for m in ms]
-    h = len(counts) / sum(1.0 / c for c in counts)
+    h = harmonic_mean([m.num_outcomes for m in ms])
     p_bar = rat_success(ms, theory).p_bar
     power = decoding_power(harmonic_joint(ms), theory)
     return p_bar, power, abs(p_bar - power / h)

@@ -39,6 +39,7 @@ from .core import (
     Ball,
     Measurement,
     Theory,
+    harmonic_mean,
     operational_dimension,
     order_unit_norm,
     require_polytope,
@@ -132,12 +133,12 @@ def restricted_storability(measurements, theory: Theory) -> float:
 
 def ntomic_bound(n: int, outcome_counts) -> float:
     """n over the harmonic mean of the outcome counts."""
-    counts = [int(c) for c in outcome_counts]
+    counts = list(outcome_counts)
     if n < 1:
         raise InputError("need n >= 1 decoding targets")
-    if len(counts) < 1 or any(c < 2 for c in counts):
+    harmonic = harmonic_mean(counts)
+    if min(counts) < 2:
         raise InputError("every outcome count must be at least 2")
-    harmonic = len(counts) / sum(1.0 / c for c in counts)
     return n / harmonic
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from gptrat import (
     trivial_measurement,
     validate_theory,
 )
+from gptrat.core import harmonic_mean, outcome_tuples
 from gptrat.io import theory_from_file
 from gptrat.linalg import LpProblem, kron, solve_lp
 from gptrat.zoo import (
@@ -517,3 +519,42 @@ def test_dual_rays_recovered_from_vertices(n):
         assert dists[j] < 1e-9
         assert j not in used
         used.add(j)
+
+
+# ------------------------------------------- outcome tuples, harmonic mean
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_outcome_tuple_sums_match_python_sum_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    ms = [Measurement(tuple(f"{i}{x}" for x in range(c)), rng.normal(size=(c, 3))) for i, c in enumerate([2, 3, 2, 4][:k])]
+    # -0.0 + -0.0 is -0.0 but 0 + -0.0 is 0.0: the sum must start from a
+    # zero, as Python's does
+    for m in ms:
+        m.effects[:, 1] = -0.0
+    labels, sums = outcome_tuples(ms)
+    rows = list(itertools.product(*(zip(m.outcomes, m.effects) for m in ms)))
+    assert labels == [tuple(x for x, _ in row) for row in rows]
+    reference = np.array([sum(f for _, f in row) for row in rows])
+    assert sums.shape == reference.shape
+    assert sums.tobytes() == reference.tobytes()
+    assert not np.signbit(sums[:, 1]).any()
+
+
+def test_outcome_tuples_rejects_no_measurements_and_mixed_widths():
+    with pytest.raises(InputError, match="need at least one measurement"):
+        outcome_tuples([])
+    with pytest.raises(InputError, match="different ambient spaces"):
+        outcome_tuples([_SQUARE_M, Measurement(("a",), np.ones((1, 1)))])
+
+
+def test_harmonic_mean_values():
+    assert harmonic_mean([2, 2]) == 2.0
+    assert harmonic_mean((2, np.int64(3))) == 2 / (1.0 / 2 + 1.0 / 3)
+    assert harmonic_mean(c for c in [3]) == 3.0
+
+
+@pytest.mark.parametrize("counts", [[], [2, 0], [2, -1], [2.5, 2], [2.0, 2], [True, 2], ["2"]])
+def test_harmonic_mean_rejects_anything_but_positive_integers(counts):
+    with pytest.raises(InputError, match="positive integers"):
+        harmonic_mean(counts)

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,7 +24,6 @@ from gptrat import (
     trivial_measurement,
 )
 from gptrat import jointness, linalg
-from gptrat.core import outcome_tuples
 from gptrat.jointness import _joint_lp
 from gptrat.linalg import EPS, LpProblem, kron, solve_lp
 from gptrat.polygons import odd_polygon_compatible_pair
@@ -93,8 +93,22 @@ def test_harmonic_joint_validation():
     with pytest.raises(InputError):
         harmonic_joint([m])
     other = Measurement(("a", "b"), np.eye(2))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="different ambient spaces"):
         harmonic_joint([m, other])
+
+
+def test_harmonic_smearing_weights_values():
+    assert harmonic_smearing_weights([2, 2]) == [0.5, 0.5]
+    lam1, lam2 = harmonic_smearing_weights([2, 3])
+    h = 2 / (1.0 / 2 + 1.0 / 3)
+    assert (lam1, lam2) == (h / 4, h / 6)
+
+
+@pytest.mark.parametrize("counts", [[], [2, 0], [2.5, 2]])
+def test_harmonic_smearing_weights_reject_anything_but_positive_integers(counts):
+    # [] and [2, 0] used to divide by zero, and [2.5, 2] was accepted
+    with pytest.raises(InputError, match="positive integers"):
+        harmonic_smearing_weights(counts)
 
 
 # -------------------------------------------------------------- check joint
@@ -254,7 +268,8 @@ def test_joint_lp_marginal_operator_matches_the_label_comprehension(counts):
         for i, c in enumerate(counts)
     ]
     labels, P, cone = _joint_lp(ms, np.eye(3))
-    reference = [t for t, _ in outcome_tuples(ms)]
+    # itertools, not outcome_tuples: _joint_lp reads the latter's table
+    reference = list(itertools.product(*(m.outcomes for m in ms)))
     assert labels == reference
     expected = np.array([[t[i] == x for t in reference] for i, m in enumerate(ms) for x in m.outcomes], dtype=float)
     np.testing.assert_array_equal(P, expected)

@@ -125,6 +125,26 @@ def test_given_states_rejects_missing_tuple():
         rat_success_given_states([], {})
 
 
+def test_given_states_rejects_effects_of_different_widths():
+    # widths 3 and 1 used to broadcast to 0.5
+    m = Measurement(("a", "b"), np.full((2, 3), 0.5))
+    n = Measurement(("c",), np.ones((1, 1)))
+    encoding = {("a", "c"): np.ones(3), ("b", "c"): np.ones(3)}
+    with pytest.raises(InputError, match="different ambient spaces"):
+        rat_success_given_states([m, n], encoding)
+    with pytest.raises(InputError, match="different ambient spaces"):
+        rat_success_given_states([m, Measurement(("c",), np.ones((1, 2)))], encoding)
+
+
+@pytest.mark.parametrize("bad", [np.ones(2), np.ones(4), np.ones((1, 3)), 1.0])
+def test_given_states_rejects_an_encoded_vector_of_the_wrong_shape(bad):
+    t, m, n = _square_pair()
+    encoding = {labels: polygon_state(t, 1) for labels in rat_success([m, n], t).per_tuple}
+    encoding["-", "+"] = bad
+    with pytest.raises(InputError, match=r"outcome tuple \('-', '\+'\) is encoded by a vector of shape"):
+        rat_success_given_states([m, n], encoding)
+
+
 # ------------------------------------------------------------------ identity
 
 

@@ -283,6 +283,10 @@ def test_ntomic_bound_values():
         ntomic_bound(0, (2, 2))
     with pytest.raises(InputError):
         ntomic_bound(2, (2, 1))
+    with pytest.raises(InputError, match="positive integers"):
+        ntomic_bound(2, (2.5, 2))
+    with pytest.raises(InputError, match="positive integers"):
+        ntomic_bound(2, ())
 
 
 @pytest.mark.parametrize(
