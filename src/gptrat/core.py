@@ -6,14 +6,41 @@ vectors; an effect f is evaluated on a state s by the dot product f . s, and
 validity means 0 <= f(s) <= 1 over the whole state space.
 
 Two backends are supported, each owning its geometry (the order-unit norm
-with a maximizing state, effect validity, and structural validation):
+with a maximizing state, effect validity, structural validation), its
+information storability and its operational dimension:
 
 * Polytope: finitely many extreme states plus the extreme rays of the dual
   cone (each normalized so its maximum over the state space is 1), optionally
   a finite list of nontrivial extreme effects.
 * Ball(dim): states (w, 1) with |w| <= 1, unit coordinate last; Ball(2) is
   the disc (rebit) and Ball(3) the Bloch ball (qubit in Pauli coordinates).
-  Norms and validity have closed forms.
+  All have closed forms; storability and operational dimension are 2.
+
+Polytope storability.  The supremum of decoding power is always attained
+at a measurement whose effects are scaled extreme rays of the dual cone,
+which reduces it to one LP:
+
+    maximize sum_i alpha_i   subject to   sum_i alpha_i ray_i = u,  alpha >= 0.
+
+Its dual is minimize u . y subject to ray_i . y >= 1 for every i.  Weak
+duality bounds the primal by the dual: for a feasible alpha and y,
+sum_i alpha_i <= sum_i alpha_i (ray_i . y) = u . y.  So a feasible alpha
+and a feasible y with equal values are both optimal.
+
+Balanced theories need no LP.  Let c be the mean of the extreme states,
+v_i = ray_i . c, lo = min_i v_i and t = sum_i v_i.  When the rays sum to
+t u, alpha = 1/t on every ray is feasible with value R/t (R rays), and
+u . c = 1 (t = sum_i v_i = t u . c); then y = c / lo is dual feasible
+(ray_i . y = v_i / lo >= 1) with value 1/lo.  The two values agree
+exactly when every ray takes the same value at c.  Regular polygons,
+hypercubes and simplices and their unit-fixing linear images are
+balanced; Polytope.storability checks both points in numpy, to the same
+EPS as solve_lp's final check, and returns R/t with method "balanced".
+
+Any other theory takes the LP.  The solver's dual vector y is then checked
+in numpy: if every ray_i . y >= 1 - EPS and u . y matches the LP value,
+weak duality makes that value optimal on every polytope theory, so a
+faulty LP solution cannot be reported.
 
 Operations that need vertices or dual rays go through require_polytope.
 Theory and Polytope keep read-only float copies of their arrays, so a
@@ -37,7 +64,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InputError, UnsupportedBackendError
+from .errors import InputError, SolverError, UnsupportedBackendError
 from .linalg import EPS, LpProblem, enumerate_facets, numerical_rank, solve_lp
 
 Vec = np.ndarray
@@ -96,6 +123,48 @@ class Polytope:
         if np.max(np.abs(vals.max(axis=0) - 1.0)) > EPS:
             raise InputError("dual rays must be normalized to maximum value 1")
 
+    def storability(self, theory: "Theory") -> "StorabilityReport":
+        """The balanced certificate, else the LP with its dual checked."""
+        rays = self.dual_rays
+        balanced = _balanced(rays, self.extreme_states, theory.unit)
+        if balanced is not None:
+            return balanced
+        R = rays.shape[0]
+        res = solve_lp(LpProblem(np.ones(R), rays.T, theory.unit))
+        if res.status != "optimal":
+            raise SolverError(f"storability LP ended {res.status} on {theory.name}")
+        alpha = res.solution
+        keep = alpha > 1e-12
+        witness = Measurement(
+            tuple(int(i) for i in np.nonzero(keep)[0]),
+            alpha[keep, None] * rays[keep],
+        )
+        y = res.duals
+        slack = 1.0 - float((rays @ y).min())
+        gap = abs(float(theory.unit @ y) - res.value)
+        if slack > EPS or gap > EPS * max(1.0, res.value):
+            raise SolverError(
+                f"storability LP dual fails on {theory.name}: constraint shortfall {slack:.3g}, duality gap {gap:.3g}"
+            )
+        return StorabilityReport(float(res.value), witness, "lp")
+
+    def operational_dimension(self, theory: "Theory") -> int:
+        """Grows k from 2 and stops at the first k with no distinguishable
+        k-subset of the vertices (dropping a state from a distinguishable set
+        and merging its effect into another leaves a distinguishable set).
+        Most subsets of a polygon or hypercube fail distinguishable's
+        zero-pattern test with no LP; every other subset costs one LP."""
+        V = self.extreme_states
+        n = V.shape[0]
+        if n > 16:
+            raise InputError("vertex count too large for exhaustive subset search")
+        best = 1
+        for k in range(2, n + 1):
+            if not any(distinguishable(V[list(subset)], theory) for subset in combinations(range(n), k)):
+                break
+            best = k
+        return best
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -132,6 +201,18 @@ class Ball:
         if not np.isfinite(unit).all() or np.max(np.abs(unit[:-1])) > EPS or abs(unit[-1] - 1.0) > EPS:
             raise InputError("the unit of a ball must be (0, ..., 0, 1)")
 
+    def storability(self, theory: "Theory") -> "StorabilityReport":
+        # the sharp measurement along the last axis has two effects of norm 1
+        half_axis = np.zeros(theory.ambient_dim)
+        half_axis[-2] = 0.5
+        effect = half_axis + 0.5 * theory.unit
+        witness = Measurement(("+", "-"), np.vstack([effect, theory.unit - effect]))
+        return StorabilityReport(2.0, witness, "closed_form")
+
+    def operational_dimension(self, theory: "Theory") -> int:
+        # antipodal pure states are distinguishable; no third state joins them
+        return 2
+
 
 Backend = Union[Polytope, Ball]
 
@@ -149,10 +230,9 @@ class Theory:
             raise InputError("unit functional has the wrong dimension")
 
     @cached_property
-    def storability(self):
-        """The StorabilityReport, solved once per Theory object."""
-        from .storability import solve_storability
-        return solve_storability(self)
+    def storability(self) -> "StorabilityReport":
+        """The backend's StorabilityReport, solved once per Theory object."""
+        return self.backend.storability(self)
 
     @cached_property
     def _compatibility_memo(self) -> dict:
@@ -179,12 +259,41 @@ class Measurement:
             raise InputError("effects must be a 2-D array, one row per outcome")
         if len(self.outcomes) != self.effects.shape[0]:
             raise InputError("number of outcome labels does not match number of effects")
+        if not self.outcomes:
+            raise InputError("a measurement needs at least one outcome")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise InputError("outcome labels must be distinct")
 
     @property
     def num_outcomes(self) -> int:
         return len(self.outcomes)
+
+
+@dataclass(frozen=True)
+class StorabilityReport:
+    value: float
+    witness_measurement: Measurement
+    method: str  # "balanced", "lp" or "closed_form"
+
+
+def _balanced(rays: np.ndarray, states: np.ndarray, unit: np.ndarray) -> StorabilityReport | None:
+    """The balanced certificate of the module docstring, or None where it
+    does not close: alpha = 1/t on every ray and y = c / lo, c the mean of
+    the extreme states.  Malformed or empty arrays are left to the LP."""
+    if not (len(rays) and len(states) and rays.shape[1:] == states.shape[1:] == unit.shape):
+        return None
+    c = states.mean(axis=0)
+    v = rays @ c
+    lo, t = float(v.min()), float(v.sum())
+    if not lo > EPS:
+        return None
+    value = len(rays) / t
+    residual = float(np.abs(rays.sum(axis=0) / t - unit).max())
+    gap = abs(value - 1.0 / lo)
+    # written so that a NaN residual or gap fails it
+    if not (residual <= EPS * max(1.0, float(np.abs(unit).max())) and gap <= EPS * max(1.0, value)):
+        return None
+    return StorabilityReport(value, Measurement(tuple(range(len(rays))), rays / t), "balanced")
 
 
 def outcome_tuples(measurements) -> tuple[list[tuple], np.ndarray]:
@@ -303,7 +412,7 @@ def require_valid_measurements(measurements, theory: Theory, at_least: int) -> l
 def trivial_measurement(theory: Theory, probs, outcomes=None) -> Measurement:
     """Measurement p_x * u that ignores the state entirely."""
     p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
+    if not (p.ndim == 1 and p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-12):  # NaN fails it
         raise InputError("probs must be a probability distribution")
     if outcomes is None:
         outcomes = tuple(range(len(p)))
@@ -320,9 +429,10 @@ def _check_stochastic(nu: np.ndarray, n_in: int) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     if nu.ndim != 2 or nu.shape[0] != n_in:
         raise InputError("post-processing matrix must have one row per input outcome")
-    if nu.min() < -1e-12:
+    # written so that a NaN fails them
+    if not nu.min() >= -1e-12:
         raise InputError("post-processing matrix has a negative entry")
-    if np.max(np.abs(nu.sum(axis=1) - 1.0)) > 1e-12:
+    if not np.max(np.abs(nu.sum(axis=1) - 1.0)) <= 1e-12:
         raise InputError("post-processing matrix rows must sum to 1")
     return nu
 
@@ -344,7 +454,7 @@ def mix(measurements, weights) -> Measurement:
     w = np.asarray(weights, dtype=float)
     if len(ms) == 0 or w.shape != (len(ms),):
         raise InputError("need one weight per measurement")
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-12:
+    if not (w.min() >= -1e-12 and abs(w.sum() - 1.0) <= 1e-12):  # NaN fails it
         raise InputError("weights must form a probability distribution")
     outcomes = ms[0].outcomes
     for m in ms[1:]:
@@ -394,36 +504,8 @@ def distinguishable(states, theory: Theory) -> bool:
 
 
 def operational_dimension(theory: Theory) -> int:
-    """Largest number of jointly perfectly distinguishable extreme states.
-
-    Grows k from 2 and stops at the first k with no distinguishable
-    k-subset of the vertices (dropping a state from a distinguishable set
-    and merging its effect into another leaves a distinguishable set).
-    Each subset goes through distinguishable's zero-pattern test: a subset
-    where some e_i would have no ray vanishing on all the other targets,
-    which is most subsets of a polygon or hypercube, is ruled out without
-    an LP, and every other subset costs one LP with d rows.
-    """
-    if isinstance(theory.backend, Ball):
-        # antipodal pure states are distinguishable; no third state joins them
-        return 2
-    V = require_polytope(theory, "operational dimension").extreme_states
-    n = V.shape[0]
-    if n > 16:
-        raise InputError("vertex count too large for exhaustive subset search")
-    best = 1
-    k = 2
-    while k <= n:
-        hit = False
-        for subset in combinations(range(n), k):
-            if distinguishable(V[list(subset)], theory):
-                hit = True
-                break
-        if not hit:
-            break
-        best = k
-        k += 1
-    return best
+    """Largest number of jointly perfectly distinguishable extreme states."""
+    return theory.backend.operational_dimension(theory)
 
 
 def dual_rays_from_vertices(vertices: np.ndarray, unit: np.ndarray) -> np.ndarray:

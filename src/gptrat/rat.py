@@ -91,7 +91,7 @@ def compatible_bound(m1_outcomes: int, m2_outcomes: int, storability: float) -> 
     """Upper bound on the pair RAT success of any compatible pair."""
     if m1_outcomes < 2 or m2_outcomes < 2:
         raise InputError("outcome counts must be at least 2")
-    if storability < 1.0 - EPS:
+    if not storability >= 1.0 - EPS:  # NaN fails it
         raise InputError("information storability is at least 1")
     return 0.5 * (1.0 + storability / (m1_outcomes * m2_outcomes))
 

@@ -15,10 +15,12 @@ from gptrat import (
     Polytope,
     Theory,
     UnsupportedBackendError,
+    compatible_bound,
     dichotomic_measurement,
     distinguishable,
     dual_rays_from_vertices,
     evaluate,
+    harmonic_joint,
     is_valid_effect,
     is_valid_measurement,
     mix,
@@ -26,6 +28,7 @@ from gptrat import (
     operational_dimension,
     order_unit_norm,
     post_process,
+    rat_success_given_states,
     trivial_measurement,
     validate_theory,
 )
@@ -251,6 +254,35 @@ def test_mix_weights_and_outcomes():
         mix([m, n], [0.5, 0.6])
     with pytest.raises(InputError):
         mix([m, trivial_measurement(t, [0.5, 0.5])], [0.5, 0.5])  # labels differ
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda m, empty: harmonic_joint([m, empty]), lambda m, empty: rat_success_given_states([m, empty], {})],
+    ids=["harmonic_joint", "rat_success_given_states"],
+)
+def test_zero_outcome_measurement_is_rejected(call):
+    # a measurement with no outcomes used to reach the joint and the RAT sum,
+    # which divided by its outcome count
+    t = polygon(4)
+    with pytest.raises(InputError, match="a measurement needs at least one outcome"):
+        call(dichotomic_measurement(t, polygon_ray(t, 1)), Measurement((), np.zeros((0, 3))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, m: trivial_measurement(t, [np.nan, 1.0]),
+        lambda t, m: post_process(m, [[np.nan, 1.0], [0.0, 1.0]]),
+        lambda t, m: mix([m, m], [np.nan, 1.0]),
+        lambda t, m: compatible_bound(2, 2, np.nan),
+    ],
+    ids=["trivial_measurement", "post_process", "mix", "compatible_bound"],
+)
+def test_nan_fails_the_probability_checks(call):
+    t = polygon(4)
+    with pytest.raises(InputError):
+        call(t, dichotomic_measurement(t, polygon_ray(t, 1)))
 
 
 def test_post_processing_contracts_norm_sum():

@@ -26,7 +26,7 @@ from gptrat import (
     trivial_measurement,
     write_measurement,
 )
-from gptrat import cli, storability
+from gptrat import cli, core
 from gptrat.linalg import LpProblem, solve_lp
 from gptrat.zoo import hypercube, polygon, polygon_ray, qubit2, rebit, simplex
 
@@ -216,20 +216,20 @@ def test_malformed_polytopes_keep_their_typed_errors():
 def test_storability_rejects_a_suboptimal_lp_result(monkeypatch, value_scale, dual_scale):
     # scaled duals fall short of R y >= 1; a scaled value alone leaves a
     # duality gap; either way the value is not certified optimal
-    solve = storability.solve_lp
+    solve = core.solve_lp
 
     def suboptimal(problem):
         res = solve(problem)
         return replace(res, value=value_scale * res.value, duals=dual_scale * res.duals)
 
-    monkeypatch.setattr(storability, "solve_lp", suboptimal)
+    monkeypatch.setattr(core, "solve_lp", suboptimal)
     with pytest.raises(SolverError, match="dual fails"):
         information_storability(_kite())
 
 
 def test_storability_rejects_a_non_optimal_lp_status(monkeypatch):
-    solve = storability.solve_lp
-    monkeypatch.setattr(storability, "solve_lp", lambda problem: replace(solve(problem), status="infeasible"))
+    solve = core.solve_lp
+    monkeypatch.setattr(core, "solve_lp", lambda problem: replace(solve(problem), status="infeasible"))
     with pytest.raises(SolverError, match="storability LP ended infeasible"):
         information_storability(_kite())
 
@@ -237,19 +237,22 @@ def test_storability_rejects_a_non_optimal_lp_status(monkeypatch):
 def test_one_storability_lp_per_theory(tmp_path, monkeypatch, capsys):
     # gptrat rat needs the storability twice (its bounds and the certificate),
     # and the certificate and the super-storability test need it again: one
-    # Theory object solves its storability LP once for all of them
+    # Theory object solves its storability LP once for all of them.  core's
+    # distinguishability LPs (zero objective) go through the same solve_lp,
+    # so only the LPs with an all-ones objective are counted
     t = _kite()
     m1, m2 = (dichotomic_measurement(t, t.backend.dual_rays[k]) for k in (0, 1))
     paths = [str(tmp_path / "m1.json"), str(tmp_path / "m2.json")]
     write_measurement(m1, paths[0])
     write_measurement(m2, paths[1])
-    solve, problems = storability.solve_lp, []
+    solve, problems = core.solve_lp, []
 
     def counting(problem):
-        problems.append(problem)
+        if problem.objective.size and (problem.objective == 1.0).all():
+            problems.append(problem)
         return solve(problem)
 
-    monkeypatch.setattr(storability, "solve_lp", counting)
+    monkeypatch.setattr(core, "solve_lp", counting)
     monkeypatch.setattr(cli, "theory_from_file", lambda path: t)
     argv = ["rat", "--theory", "kite.json", "--measurement", paths[0], "--measurement", paths[1]]
     assert cli.main(argv) == 0
