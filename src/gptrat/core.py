@@ -152,15 +152,34 @@ class Polytope:
         """Grows k from 2 and stops at the first k with no distinguishable
         k-subset of the vertices (dropping a state from a distinguishable set
         and merging its effect into another leaves a distinguishable set).
-        Most subsets of a polygon or hypercube fail distinguishable's
-        zero-pattern test with no LP; every other subset costs one LP."""
+
+        The vertices and rays are checked, and their zero pattern computed,
+        once per call.  Each k-subset is screened from its rows of that
+        pattern, as in distinguishable, and the walk stops at the first
+        distinguishable k-subset.  The LP depends only on the subset's ray
+        union, so it is solved once per distinct union and its verdict kept
+        for the rest of the call."""
         V = self.extreme_states
         n = V.shape[0]
         if n > 16:
             raise InputError("vertex count too large for exhaustive subset search")
+        if n < 2:
+            return 1
+        zero = _zero_pattern(V, self.dual_rays, theory)
+        verdicts: dict[bytes, bool] = {}
+
+        def subset_distinguishable(subset) -> bool:
+            union = _ray_union(zero[list(subset)])
+            if union is None:
+                return False
+            key = union.tobytes()
+            if key not in verdicts:
+                verdicts[key] = _unit_in_cone(self.dual_rays[union], theory.unit)
+            return verdicts[key]
+
         best = 1
         for k in range(2, n + 1):
-            if not any(distinguishable(V[list(subset)], theory) for subset in combinations(range(n), k)):
+            if not any(subset_distinguishable(s) for s in combinations(range(n), k)):
                 break
             best = k
         return best
@@ -481,11 +500,18 @@ def distinguishable(states, theory: Theory) -> bool:
     nonnegative on it, within EPS); any other target is an InputError.
     """
     rays = require_polytope(theory, "the distinguishability test").dual_rays
-    S = np.asarray(states, dtype=float)
+    union = _ray_union(_zero_pattern(np.asarray(states, dtype=float), rays, theory))
+    return union is not None and _unit_in_cone(rays[union], theory.unit)
+
+
+def _zero_pattern(S: np.ndarray, rays: np.ndarray, theory: Theory) -> np.ndarray:
+    """zero[j, r] = |r(s_j)| <= EPS for target rows S (n, d), after the
+    checks distinguishable's argument needs: InputError unless S holds at
+    least two finite rows of ambient dimension, each a normalized state on
+    which every finite ray is nonnegative."""
     if S.ndim != 2 or S.shape[1] != theory.ambient_dim:
         raise InputError("states must be rows of ambient dimension")
-    n = S.shape[0]
-    if n < 2:
+    if S.shape[0] < 2:
         raise InputError("need at least two states")
     # a NaN would fail every zero test below and drop out silently
     if not (np.isfinite(S).all() and np.isfinite(rays).all()):
@@ -493,13 +519,23 @@ def distinguishable(states, theory: Theory) -> bool:
     vals = S @ rays.T  # (n, R): r(s_j)
     if np.max(np.abs(S @ theory.unit - 1.0)) > EPS or vals.min() < -EPS:
         raise InputError("every target must be a normalized state of the theory")
-    zero = np.abs(vals) <= EPS
-    # in_Z[i, r]: ray r vanishes on every target other than s_i
-    in_Z = (zero.sum(axis=0)[None, :] - zero) == n - 1
+    return np.abs(vals) <= EPS
+
+
+def _ray_union(zero: np.ndarray) -> np.ndarray | None:
+    """The ray mask of Z_1 | ... | Z_n for targets with zero pattern `zero`
+    (n, R), where Z_i holds the rays that vanish on every target other than
+    s_i; None when some Z_i is empty."""
+    in_Z = (zero.sum(axis=0)[None, :] - zero) == zero.shape[0] - 1
     if not in_Z.any(axis=1).all():
-        return False
-    A = rays[in_Z.any(axis=0)].T
-    res = solve_lp(LpProblem(np.zeros(A.shape[1]), A, theory.unit))
+        return None
+    return in_Z.any(axis=0)
+
+
+def _unit_in_cone(rays: np.ndarray, unit: np.ndarray) -> bool:
+    """Is the unit a nonnegative combination of the rows of rays?  One
+    feasibility LP with one column per ray."""
+    res = solve_lp(LpProblem(np.zeros(rays.shape[0]), rays.T, unit))
     return res.status == "optimal"
 
 

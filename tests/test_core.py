@@ -32,6 +32,7 @@ from gptrat import (
     trivial_measurement,
     validate_theory,
 )
+from gptrat import core
 from gptrat.core import harmonic_mean, outcome_tuples
 from gptrat.io import theory_from_file
 from gptrat.linalg import LpProblem, kron, solve_lp
@@ -373,6 +374,25 @@ def test_distinguishable_rejects_targets_outside_the_state_space():
         distinguishable([t.vertices[0], 2.0 * t.vertices[2] - t.vertices[0]], t)
 
 
+def _irregular(seed: int) -> Theory:
+    """A seeded util.random_polytope: dimension 2 on even seeds and 3 on odd
+    ones, from 5 to 16 drawn points."""
+    rng = np.random.default_rng(seed)
+    return util.random_polytope(rng, 2 + seed % 2, int(rng.integers(5, 17)))
+
+
+def _reference_dimension(theory) -> int:
+    """The operational dimension by one distinguishable call per subset."""
+    V = theory.vertices
+    n = V.shape[0]
+    best = 1
+    for k in range(2, n + 1):
+        if not any(distinguishable(V[list(s)], theory) for s in itertools.combinations(range(n), k)):
+            break
+        best = k
+    return best
+
+
 @pytest.mark.parametrize(
     "theory, expected",
     [
@@ -389,10 +409,69 @@ def test_distinguishable_rejects_targets_outside_the_state_space():
         (util.rotated(polygon(16), np.random.default_rng(16)), 2),
         (util.rotated(hypercube(4), np.random.default_rng(4)), 2),
         (util.rotated(simplex(6), np.random.default_rng(6)), 6),
-    ],
+    ]
+    # irregular theories: the expected value comes from the reference walk
+    + [pytest.param(_irregular(seed), None, id=f"irregular-seed{seed}") for seed in range(20)],
 )
 def test_operational_dimension(theory, expected):
+    if expected is None:
+        expected = _reference_dimension(theory)
     assert operational_dimension(theory) == expected
+
+
+@pytest.mark.irregular_corpus
+@pytest.mark.parametrize("seed", range(20, 220))
+def test_operational_dimension_irregular_corpus(seed):
+    t = _irregular(seed)
+    validate_theory(t)
+    assert operational_dimension(t) == _reference_dimension(t)
+
+
+@pytest.mark.parametrize("theory", [hypercube(4), polygon(16)], ids=["hypercube4", "polygon16"])
+def test_operational_dimension_solves_one_lp_per_ray_union(theory, monkeypatch):
+    """The LP reads only the subset's ray union, so no union is solved
+    twice: hypercube(4)'s whole walk touches 17 unions."""
+    columns = []
+
+    def counted(problem):
+        A = np.asarray(problem.eq_matrix)
+        columns.append((A.shape, A.tobytes()))
+        return solve_lp(problem)
+
+    monkeypatch.setattr(core, "solve_lp", counted)
+    assert operational_dimension(theory) == 2
+    assert 1 <= len(columns) == len(set(columns)) <= 17
+
+
+def _broken_pentagon(defect: str) -> Theory:
+    t = polygon(5)
+    V, rays = t.vertices.copy(), t.backend.dual_rays.copy()
+    if defect == "doubled_vertex":
+        V[1] *= 2.0
+    elif defect == "non_finite_vertex":
+        V[3, 0] = np.nan
+    elif defect == "non_finite_ray":
+        rays[2, 0] = np.inf
+    else:  # a ray below -EPS on the vertices where it vanished
+        rays[0] -= 0.01 * t.unit
+    return Theory("broken", 3, t.unit, Polytope(V, rays))
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("doubled_vertex", "every target must be a normalized state"),
+        ("non_finite_vertex", "states and dual rays must be finite"),
+        ("non_finite_ray", "states and dual rays must be finite"),
+        ("negative_ray", "every target must be a normalized state"),
+    ],
+)
+def test_operational_dimension_raises_distinguishables_errors(defect, message):
+    t = _broken_pentagon(defect)
+    with pytest.raises(InputError, match=message):
+        operational_dimension(t)
+    with pytest.raises(InputError, match=message):
+        distinguishable(t.vertices, t)
 
 
 def test_operational_dimension_rotated_polygon15_seed102():

@@ -13,6 +13,7 @@ from gptrat import (
     Polytope,
     Theory,
     dichotomic_measurement,
+    dual_rays_from_vertices,
     mix,
     post_process,
     trivial_measurement,
@@ -125,3 +126,26 @@ def mapped(theory: Theory, A: np.ndarray) -> Theory:
     b = theory.backend
     rays = np.linalg.solve(A.T, b.dual_rays.T).T
     return Theory(theory.name, theory.ambient_dim, theory.unit.copy(), Polytope(b.extreme_states @ A.T, rays))
+
+
+def random_polytope(rng: np.random.Generator, dim: int, n: int) -> Theory:
+    """An irregular polytope theory: the convex hull of n random points.
+
+    dim 2 draws sorted random angles with radii in [0.5, 1.5]; dim 3 draws
+    standard normal points.  The hull vertices, in input order, become the
+    states (x, 1) with the unit (0, ..., 0, 1), and the rays come from
+    dual_rays_from_vertices.
+    """
+    from scipy.spatial import ConvexHull
+
+    if dim == 2:
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        points = rng.uniform(0.5, 1.5, n)[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    elif dim == 3:
+        points = rng.standard_normal((n, 3))
+    else:
+        raise ValueError("random polytopes are drawn in dimension 2 or 3")
+    hull = points[np.sort(ConvexHull(points).vertices)]
+    V = np.column_stack([hull, np.ones(len(hull))])
+    unit = np.eye(dim + 1)[-1]
+    return Theory(f"random{dim}d-{len(hull)}", dim + 1, unit, Polytope(V, dual_rays_from_vertices(V, unit)))
