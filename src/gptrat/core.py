@@ -549,17 +549,20 @@ def dual_rays_from_vertices(vertices: np.ndarray, unit: np.ndarray) -> np.ndarra
 
     Each facet of the state polytope yields the functional
     r(x) = offset * u(x) - normal . x, nonnegative on the polytope and zero
-    exactly on the facet; rays are normalized to maximum value 1.
+    exactly on the facet; rays are normalized to maximum value 1, the bits
+    of each ray's own V @ r coming from one stacked product.
     """
     V = np.asarray(vertices, dtype=float)
     u = np.asarray(unit, dtype=float)
-    if np.max(np.abs(V @ u - 1.0)) > EPS:
+    if not (np.isfinite(V).all() and np.isfinite(u).all()):
+        raise InputError("vertices and unit must be finite")
+    if V.ndim != 2 or u.shape != V.shape[1:]:
+        raise InputError("unit must have one entry per vertex coordinate")
+    # written so that a NaN fails it
+    if not np.abs(V @ u - 1.0).max(initial=0.0) <= EPS:
         raise InputError("unit must evaluate to 1 on every vertex")
-    rays = []
-    for facet in enumerate_facets(V):
-        r = facet.offset * u - facet.normal
-        top = float((V @ r).max())
-        if top <= EPS:
-            continue  # functional vanishes on the whole polytope
-        rays.append(r / top)
-    return np.array(rays)
+    facets = enumerate_facets(V)
+    R = np.array([f.offset for f in facets])[:, None] * u - np.array([f.normal for f in facets])
+    tops = np.matmul(V[None], R[:, :, None])[:, :, 0].max(axis=1)  # one gemv per ray
+    keep = tops > EPS  # the others vanish on the whole polytope
+    return R[keep] / tops[keep, None]

@@ -7,8 +7,8 @@ arrays are float64 numpy arrays.
 
 Facets are found in two stages.  A screen tries every subset of k
 vertices, k the affine dimension (C(N, k) subsets for N vertices), in
-fixed-size batches generated lazily, with a normal from one batched
-determinant per batch, and proposes the distinct vertex sets that
+fixed-size batches generated lazily, with cofactor normals from about 2^k
+array operations per batch, and proposes the distinct vertex sets that
 supporting hyperplanes cut out.  An exact test, one batched SVD per round,
 then finds for each proposed set the first of its own subsets that spans it
 exactly.  Each facet so keeps the normal of the first subset in
@@ -19,7 +19,6 @@ memory stays bounded by the batch and the number of proposed sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -37,9 +36,9 @@ _DEGENERATE_RUN = 50
 # how far below zero the ratio test lets a basic value drift
 _DRIFT = 1e-10
 
-# vertex subsets per enumerate_facets batch; its arrays stay in the hundreds
-# of KiB at this size
-_BATCH = 256
+# vertex subsets per enumerate_facets batch: hypercube(4)'s C(16, 4) = 1,820
+# take one batch, whose arrays stay under half a MiB
+_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -296,23 +295,31 @@ def _sides(vals: np.ndarray, tol):
     values per hyperplane, a vertex within tol counting as on it.  Returns
     the incident vertices of each hyperplane, whether some vertex lies above
     it, and whether it is a proper supporting hyperplane: every vertex on
-    one side and not every vertex on it."""
+    one side and not every vertex on it.  Overwrites vals with |vals|."""
     above = (vals > tol).any(axis=1)
     # a hyperplane with no vertex off it on either side has every vertex on it
     proper = above != (vals < -tol).any(axis=1)
-    return np.abs(vals) <= tol, above, proper
+    return np.abs(vals, out=vals) <= tol, above, proper
 
 
-@cache
-def _cofactor_columns(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entry j of the cofactor vector of a (k-1, k) matrix is sign[j] times
-    the determinant of its columns keep[j].  Read-only: every call shares
-    them."""
-    keep = np.array([[c for c in range(k) if c != j] for j in range(k)], dtype=np.intp).reshape(k, k - 1)
-    sign = (-1.0) ** np.arange(k)
-    keep.setflags(write=False)
-    sign.setflags(write=False)
-    return keep, sign
+def _hyperplanes(L: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w . x = beta through each vertex subset idx (b, k): w is the cofactor
+    vector of D = P[1:] - P[0], P = L[idx[i]] (entry j is (-1)^j times the
+    minor of D without column j), and beta = w . P[0].  The maximal minors
+    of D's first i rows come from those of its first i - 1 by Laplace
+    expansion along row i: about 2^k array operations, no LAPACK call."""
+    b, k = idx.shape
+    first = L[idx[:, 0]]
+    minors = {(j,): c for j, c in enumerate((L[idx[:, 1]] - first).T)} if k > 1 else {(): np.ones(b)}
+    for i in range(2, k):
+        row, prev, minors = L[idx[:, i]] - first, minors, {}
+        for S in combinations(range(k), i):
+            minors[S] = row[:, S[0]] * prev[S[1:]]
+            for t in range(1, i):  # term t ends with the sign (-1)^(i - 1 - t)
+                minors[S] = row[:, S[t]] * prev[S[:t] + S[t + 1 :]] - minors[S]
+    # the (k - 1)-subsets, in combinations order, leave out k - 1, ..., 0
+    W = np.array([-m if j % 2 else m for j, m in enumerate(reversed(minors.values()))]).T
+    return W, np.einsum("ij,ij->i", first, W)
 
 
 def _screen(L: np.ndarray, k: int) -> np.ndarray:
@@ -320,26 +327,21 @@ def _screen(L: np.ndarray, k: int) -> np.ndarray:
     hyperplanes through k-subsets of the vertices cut out, one boolean row
     per set.
 
-    A subset's normal is the cofactor vector of its difference matrix
-    P[1:] - P[0], so one batched determinant per batch takes the place of a
-    batched SVD.  The vector is not normalized; the tolerance is scaled by
-    its length instead.  A dependent subset's cofactor vector is near zero
-    and points anywhere, so the set it proposes may be no facet's.
+    A subset's hyperplane comes from _hyperplanes, a cofactor normal from
+    exterior products, where a batched determinant makes one LAPACK call per
+    subset.  The normal is not normalized; the tolerance is scaled by its
+    length instead.  A dependent subset's cofactor vector is near zero and
+    points anywhere, so the set it proposes may be no facet's.
     """
     N = L.shape[0]
-    keep, sign = _cofactor_columns(k)
     seen: dict[bytes, None] = {}
     subsets = combinations(range(N), k)
     for _ in range(0, comb(N, k), _BATCH):
-        idx = np.fromiter(chain.from_iterable(islice(subsets, _BATCH)), dtype=np.intp).reshape(-1, k)
-        P = L[idx]  # (b, k, k): row j of P[i] is vertex idx[i, j]
-        D = P[:, 1:] - P[:, :1]
-        if k == 2:  # the 1 x 1 minors are their own determinants
-            W = D[:, 0, ::-1] * sign
-        else:
-            W = np.linalg.det(D[:, :, keep].transpose(0, 2, 1, 3)) * sign
-        tol = EPS * np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
-        on, _, proper = _sides(W @ L.T - np.einsum("ij,ij->i", P[:, 0], W)[:, None], tol)
+        batch = chain.from_iterable(islice(subsets, _BATCH))
+        W, beta = _hyperplanes(L, np.fromiter(batch, dtype=np.intp).reshape(-1, k))
+        vals = W @ L.T
+        vals -= beta[:, None]
+        on, _, proper = _sides(vals, EPS * np.sqrt(np.einsum("ij,ij->i", W, W))[:, None])
         seen.update(dict.fromkeys(on[proper].view(f"V{N}").ravel().tolist()))
     return np.frombuffer(b"".join(seen), dtype=bool).reshape(-1, N)
 
@@ -381,8 +383,8 @@ def enumerate_facets(vertices: np.ndarray) -> list[Facet]:
     copes with non-simplicial facets.
 
     The screen (_screen) takes all C(N, k) subsets lazily from
-    itertools.combinations, _BATCH at a time, gives each a normal from one
-    batched determinant, and proposes the distinct vertex sets on them.
+    itertools.combinations, _BATCH at a time, gives each a cofactor normal
+    (_hyperplanes), and proposes the distinct vertex sets on them.
     The exact test (_exact, a batched SVD) then walks each proposed set's
     own k-subsets in combinations order, one round for all open sets at a
     time; round one takes each set's first k vertices.  A set's walk stops

@@ -35,7 +35,7 @@ from gptrat import (
 from gptrat import core
 from gptrat.core import harmonic_mean, outcome_tuples
 from gptrat.io import theory_from_file
-from gptrat.linalg import LpProblem, kron, solve_lp
+from gptrat.linalg import EPS, LpProblem, enumerate_facets, kron, solve_lp
 from gptrat.zoo import (
     hypercube,
     polygon,
@@ -374,13 +374,6 @@ def test_distinguishable_rejects_targets_outside_the_state_space():
         distinguishable([t.vertices[0], 2.0 * t.vertices[2] - t.vertices[0]], t)
 
 
-def _irregular(seed: int) -> Theory:
-    """A seeded util.random_polytope: dimension 2 on even seeds and 3 on odd
-    ones, from 5 to 16 drawn points."""
-    rng = np.random.default_rng(seed)
-    return util.random_polytope(rng, 2 + seed % 2, int(rng.integers(5, 17)))
-
-
 def _reference_dimension(theory) -> int:
     """The operational dimension by one distinguishable call per subset."""
     V = theory.vertices
@@ -411,7 +404,7 @@ def _reference_dimension(theory) -> int:
         (util.rotated(simplex(6), np.random.default_rng(6)), 6),
     ]
     # irregular theories: the expected value comes from the reference walk
-    + [pytest.param(_irregular(seed), None, id=f"irregular-seed{seed}") for seed in range(20)],
+    + [pytest.param(util.irregular(seed), None, id=f"irregular-seed{seed}") for seed in range(20)],
 )
 def test_operational_dimension(theory, expected):
     if expected is None:
@@ -422,7 +415,7 @@ def test_operational_dimension(theory, expected):
 @pytest.mark.irregular_corpus
 @pytest.mark.parametrize("seed", range(20, 220))
 def test_operational_dimension_irregular_corpus(seed):
-    t = _irregular(seed)
+    t = util.irregular(seed)
     validate_theory(t)
     assert operational_dimension(t) == _reference_dimension(t)
 
@@ -581,6 +574,7 @@ def _polytope_theory(states=None, rays=None):
 
 _SQUARE = polygon(4)
 _SQUARE_M = dichotomic_measurement(_SQUARE, _SQUARE.backend.dual_rays[0])
+_PENTAGON = polygon(5)
 
 # one call per shape or count check, with the start of the message it raises
 MALFORMED_INPUTS = [
@@ -599,6 +593,15 @@ MALFORMED_INPUTS = [
     (lambda: mix([], []), "need one weight per measurement"),
     (lambda: distinguishable(np.ones((2, 2)), _SQUARE), "states must be rows"),
     (lambda: distinguishable(_SQUARE.vertices[:1], _SQUARE), "need at least two states"),
+    (lambda: dual_rays_from_vertices(_PENTAGON.vertices, [np.nan, 0.0, 1.0]), "vertices and unit must be finite"),
+    (lambda: dual_rays_from_vertices(_PENTAGON.vertices, [0.0, np.inf, 1.0]), "vertices and unit must be finite"),
+    (lambda: dual_rays_from_vertices(np.vstack([_PENTAGON.vertices, [np.nan, 0.0, 1.0]]), _PENTAGON.unit), "vertices and unit must be finite"),
+    (lambda: dual_rays_from_vertices(_PENTAGON.vertices, [0.0, 1.0]), "unit must have one entry per vertex coordinate"),
+    (lambda: dual_rays_from_vertices(_PENTAGON.vertices, [0.0, 0.0, 1.0, 0.0]), "unit must have one entry per vertex coordinate"),
+    (lambda: dual_rays_from_vertices(_PENTAGON.vertices, [[0.0, 0.0, 1.0]]), "unit must have one entry per vertex coordinate"),
+    (lambda: dual_rays_from_vertices(_PENTAGON.vertices[0], _PENTAGON.unit), "unit must have one entry per vertex coordinate"),
+    (lambda: dual_rays_from_vertices(_PENTAGON.vertices, [0.0, 0.0, 2.0]), "unit must evaluate to 1 on every vertex"),
+    (lambda: dual_rays_from_vertices(np.zeros((0, 3)), _PENTAGON.unit), "need at least two vertices"),
 ]
 
 
@@ -630,6 +633,35 @@ def test_dual_rays_recovered_from_vertices(n):
         assert dists[j] < 1e-9
         assert j not in used
         used.add(j)
+
+
+def _dual_rays_loop(vertices: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Reference: dual_rays_from_vertices one facet at a time, one V @ r per
+    ray, as it was before the stacked product."""
+    V = np.asarray(vertices, dtype=float)
+    u = np.asarray(unit, dtype=float)
+    rays = []
+    for facet in enumerate_facets(V):
+        r = facet.offset * u - facet.normal
+        top = float((V @ r).max())
+        if top <= EPS:
+            continue  # functional vanishes on the whole polytope
+        rays.append(r / top)
+    return np.array(rays)
+
+
+def _rays_corpus() -> list[Theory]:
+    rng = np.random.default_rng(33)
+    stock = [polygon(n) for n in range(3, 61)] + [hypercube(d) for d in (2, 3, 4)]
+    stock += [simplex(d) for d in range(2, 7)]
+    return [util.rotated(t, rng) for t in stock] + [util.irregular(seed) for seed in range(20)]
+
+
+def test_dual_rays_match_the_per_facet_loop_byte_for_byte():
+    for t in _rays_corpus():
+        got = dual_rays_from_vertices(t.vertices, t.unit)
+        want = _dual_rays_loop(t.vertices, t.unit)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), t.name
 
 
 # ------------------------------------------- outcome tuples, harmonic mean

@@ -451,6 +451,19 @@ def _cross_polytope(d: int) -> np.ndarray:
     return np.vstack([np.eye(d), -np.eye(d)])
 
 
+def _random_prism(rng: np.random.Generator) -> np.ndarray:
+    """A random convex polygon times a segment, as states (x, 1) under a
+    random unit-fixing map: its rectangles are non-simplicial facets.  The
+    polygon has 3 to 8 vertices on an ellipse, at angles jittered off the
+    regular ones so that no three are nearly collinear."""
+    m = int(rng.integers(3, 9))
+    angles = 2.0 * np.pi * (np.arange(m) + rng.uniform(-0.3, 0.3, m)) / m
+    base = rng.uniform(0.5, 2.0, 2) * np.column_stack([np.cos(angles), np.sin(angles)])
+    height = rng.uniform(0.5, 2.0)
+    states = np.vstack([np.column_stack([base, np.full(m, z), np.ones(m)]) for z in (0.0, height)])
+    return states @ util.unit_fixing_map(rng, 4, 10.0, 2.0).T
+
+
 def _oracle_corpus() -> list[np.ndarray]:
     rng = np.random.default_rng(18)
     theories = [polygon(n) for n in range(3, 41)]
@@ -470,6 +483,7 @@ def _oracle_corpus() -> list[np.ndarray]:
     # the cross-polytopes, whose k-subsets either hold an antipodal pair,
     # spanning a hyperplane through the centre, or span a facet
     corpus += [_turned(v, rng) for v in (_prism(5), _cross_polytope(3), _cross_polytope(4))]
+    corpus += [_random_prism(rng) for _ in range(8)]
     # a point on a facet moved off it, in and out, by less and by more than
     # EPS: the incidence is decided at EPS
     hull = rng.normal(size=(8, 3))
@@ -511,12 +525,59 @@ def test_facets_flat_only_to_eps_keep_the_search_bits():
     assert differ > 0
 
 
-def test_hypercube4_facets_dedupe_across_batches():
-    # C(16, 4) = 1,820 subsets, several batches; each facet is a 3-cube whose
-    # 8 vertices are spanned by many subsets
+def test_hypercube4_facets_dedupe_across_batches(monkeypatch):
+    # C(16, 4) = 1,820 subsets, in several batches of 256; each facet is a
+    # 3-cube whose 8 vertices are spanned by many subsets
+    monkeypatch.setattr(linalg, "_BATCH", 256)
     facets = enumerate_facets(hypercube(4).vertices)
     assert len(facets) == 8
     assert all(len(f.incident_vertices) == 8 for f in facets)
+
+
+@pytest.mark.irregular_corpus
+@pytest.mark.parametrize("seed", range(20, 220))
+def test_enumerate_facets_irregular_corpus(seed):
+    vertices = util.irregular(seed).vertices
+    _assert_same_facets(enumerate_facets(vertices), _enumerate_facets_loop(vertices))
+
+
+def _det_cofactors(D: np.ndarray) -> np.ndarray:
+    """Reference: entry j of a (k - 1, k) matrix's cofactor vector is (-1)^j
+    times the determinant of its other columns, one LAPACK det per minor."""
+    k = D.shape[2]
+    keep = np.array([[c for c in range(k) if c != j] for j in range(k)], dtype=np.intp).reshape(k, k - 1)
+    return np.linalg.det(D[:, :, keep].transpose(0, 2, 1, 3)) * (-1.0) ** np.arange(k)
+
+
+@pytest.mark.parametrize(
+    "k, dependent",
+    [(k, False) for k in range(1, 8)] + [(k, True) for k in range(2, 8)],
+    ids=[f"k{k}-full-rank" for k in range(1, 8)] + [f"k{k}-rank-deficient" for k in range(2, 8)],
+)
+def test_hyperplane_kernel_gives_the_cofactor_vectors(k, dependent):
+    # 50 subsets of k points in R^k; on the rank-deficient ones the last
+    # difference row is a combination of the others (the zero row for k = 2)
+    rng = np.random.default_rng(100 + k)
+    b = 50
+    L = rng.normal(size=(b * k, k)) * rng.uniform(0.1, 10.0, size=(b * k, 1))
+    if dependent:
+        for i in range(b):
+            first = L[i * k]
+            mix = rng.normal(size=k - 2) @ (L[i * k + 1 : i * k + k - 1] - first)
+            L[i * k + k - 1] = first + mix
+    idx = np.arange(b * k).reshape(b, k)
+    W, beta = linalg._hyperplanes(L, idx)
+    D = L[idx[:, 1:]] - L[idx[:, :1]]
+    # the Hadamard bound on every cofactor, and so the scale of round-off
+    scale = np.prod(np.linalg.norm(D, axis=2), axis=1)[:, None]
+    assert W.shape == (b, k)
+    assert np.all(np.abs(np.einsum("bij,bj->bi", D, W)) <= 1e-12 * scale * np.linalg.norm(D, axis=2))
+    assert np.all(np.abs(W - _det_cofactors(D)) <= 1e-12 * scale)
+    assert np.array_equal(beta, np.einsum("ij,ij->i", L[idx[:, 0]], W))
+    if dependent:
+        assert np.all(np.linalg.norm(W, axis=1) <= 1e-12 * scale[:, 0])
+    else:
+        assert np.all(np.linalg.norm(W, axis=1) > 1e-6 * scale[:, 0])
 
 
 @pytest.mark.parametrize("batch", [1, 7])

@@ -149,3 +149,10 @@ def random_polytope(rng: np.random.Generator, dim: int, n: int) -> Theory:
     V = np.column_stack([hull, np.ones(len(hull))])
     unit = np.eye(dim + 1)[-1]
     return Theory(f"random{dim}d-{len(hull)}", dim + 1, unit, Polytope(V, dual_rays_from_vertices(V, unit)))
+
+
+def irregular(seed: int) -> Theory:
+    """A seeded random_polytope: dimension 2 on even seeds and 3 on odd ones,
+    from 5 to 16 drawn points."""
+    rng = np.random.default_rng(seed)
+    return random_polytope(rng, 2 + seed % 2, int(rng.integers(5, 17)))
