@@ -362,6 +362,13 @@ def require_polytope(theory: Theory, operation: str) -> Polytope:
     return theory.backend
 
 
+def require_int(value, name: str) -> int:
+    """value as an int; InputError unless it is an integer (numpy ints count, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def validate_theory(theory: Theory) -> None:
     """Raise InputError unless the theory satisfies its structural invariants."""
     theory.backend.validate(theory)
@@ -441,6 +448,8 @@ def trivial_measurement(theory: Theory, probs, outcomes=None) -> Measurement:
 def dichotomic_measurement(theory: Theory, effect: EffectVec, outcomes=("+", "-")) -> Measurement:
     """Two-outcome measurement (f, u - f)."""
     f = np.asarray(effect, dtype=float)
+    if f.shape != (theory.ambient_dim,):
+        raise InputError("effect dimension mismatch")
     return Measurement(tuple(outcomes), np.vstack([f, theory.unit - f]))
 
 

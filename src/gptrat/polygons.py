@@ -12,10 +12,12 @@ into six parity classes (r = sqrt(sec(pi/n)), R = sqrt(sec(pi/2n))):
     n = 4m+3            (1/4) (2 + cos((m+1) pi / n) + R^2 sin((m+1) pi / n))
 
 An independent brute force maximizes over all pairs of stored extreme
-effects and all vertex encodings; an explicit table of optimal effect and
-state labels per class is replayed by verify_table.  Compatible pairs can
-reach 3/4 on even polygons and (1/2)(1 + (1 + r^2)/4) on odd ones, where
-the odd-polygon value is achieved by two relabelings of one three-outcome
+effects and all vertex encodings.  The optimal effects and states follow
+one rule in every class: the partner of the first dual ray sits about a
+quarter turn away, and each state is the vertex nearest the direction of
+its effect sum; verify_table replays them.  Compatible pairs can reach 3/4
+on even polygons and (1/2)(1 + (1 + r^2)/4) on odd ones, where the
+odd-polygon value is achieved by two relabelings of one three-outcome
 parent measurement.
 """
 
@@ -33,7 +35,9 @@ from .core import (
     Theory,
     dichotomic_measurement,
     post_process,
+    require_int,
     require_polytope,
+    require_valid_measurements,
 )
 from .errors import InputError
 from .rat import rat_success_given_states
@@ -44,14 +48,21 @@ from .zoo import polygon, polygon_effect_label, polygon_order, polygon_ray, poly
 DISC_GRID = 10_000
 
 # The outcome tuples of a dichotomic pair, in the order in which the brute
-# force reports its states and the table lists its candidate states.
+# force reports its states and verify_table lists its candidate states.
 _PAIR_TUPLES = (("+", "+"), ("-", "+"), ("-", "-"), ("+", "-"))
+
+
+def _require_order(n, what: str) -> int:
+    """n as an int; InputError unless it is an integer of at least 4."""
+    n = require_int(n, "polygon order")
+    if n < 4:
+        raise InputError(f"{what} start at n = 4")
+    return n
 
 
 def parity_class(n: int) -> str:
     """One of 4m-odd, 4m-even, 4m+2-odd, 4m+2-even, 4m+1, 4m+3."""
-    if n < 4:
-        raise InputError("parity classes start at n = 4")
+    n = _require_order(n, "parity classes")
     if n % 4 == 0:
         return "4m-odd" if (n // 4) % 2 == 1 else "4m-even"
     if n % 2 == 0:
@@ -61,8 +72,7 @@ def parity_class(n: int) -> str:
 
 def polygon_rat_closed_form(n: int) -> float:
     """Optimal pair-RAT success on the n-gon with dichotomic measurements."""
-    if n < 4:
-        raise InputError("closed forms start at n = 4")
+    n = _require_order(n, "closed forms")
     m = n // 4
     sec_n = 1.0 / math.cos(math.pi / n)
     if n % 4 == 0:
@@ -81,8 +91,7 @@ def polygon_rat_closed_form(n: int) -> float:
 
 def polygon_rat_upper_bound(n: int) -> float:
     """Algebraic bound the closed form never exceeds."""
-    if n < 4:
-        raise InputError("bounds start at n = 4")
+    n = _require_order(n, "bounds")
     if n % 2 == 0:
         return 0.5 * (1.0 + 1.0 / (math.sqrt(2.0) * math.cos(math.pi / n)))
     return 0.5 * (1.0 + math.sqrt(2.0) / (1.0 + math.cos(math.pi / n)))
@@ -90,8 +99,7 @@ def polygon_rat_upper_bound(n: int) -> float:
 
 def polygon_compatible_max(n: int) -> float:
     """Best pair-RAT success reachable with compatible dichotomic pairs."""
-    if n < 4:
-        raise InputError("compatible maxima start at n = 4")
+    n = _require_order(n, "compatible maxima")
     if n % 2 == 0:
         return 0.75
     return 0.5 * (1.0 + (1.0 + 1.0 / math.cos(math.pi / n)) / 4.0)
@@ -102,20 +110,17 @@ def odd_polygon_compatible_pair(theory: Theory):
 
     Returns (parent, m1, m2): a three-outcome parent C with effects
     (g_1, (r^2/2) g_{(n+1)/2}, (r^2/2) g_{(n+3)/2}) and the two dichotomic
-    relabelings m1 = (C_1, C_2 + C_3), m2 = (C_1 + C_2, C_3).
+    relabelings m1 = (C_1, C_2 + C_3), m2 = (C_1 + C_2, C_3).  InputError
+    unless the parent is a valid measurement on the theory, as it is on the
+    regular polygons.
     """
     n = polygon_order(theory)
     if n % 2 == 0 or n < 5:
         raise InputError("construction needs an odd polygon with n >= 5")
     r2 = 1.0 / math.cos(math.pi / n)
-    effects = np.vstack(
-        [
-            polygon_ray(theory, 1),
-            0.5 * r2 * polygon_ray(theory, (n + 1) // 2),
-            0.5 * r2 * polygon_ray(theory, (n + 3) // 2),
-        ]
-    )
-    parent = Measurement((1, 2, 3), effects)
+    g = [polygon_ray(theory, k) for k in (1, (n + 1) // 2, (n + 3) // 2)]
+    parent = Measurement((1, 2, 3), np.vstack([g[0], 0.5 * r2 * g[1], 0.5 * r2 * g[2]]))
+    require_valid_measurements([parent], theory, 1)
     m1 = post_process(parent, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), ("+", "-"))
     m2 = post_process(parent, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), ("+", "-"))
     return parent, m1, m2
@@ -215,121 +220,30 @@ def _disc_brute_force() -> BruteForceResult:
     return BruteForceResult(float(_disc_pair_value(theta)), "e(0)", f"e({theta:.12f})", angles)
 
 
-# Optimal effect and state labels for e = first extreme effect, one entry per
-# admissible second effect: (f index, per-sum lists of candidate state labels).
-# Each branch fixes the parity of m, so every halved numerator is even.
-def _table_entries(n: int):
+def _nearest(four_c: int) -> list[int]:
+    """The integers nearest c, given 4c: both, higher first, when c is a half-integer."""
+    if four_c % 4 == 2:
+        return [(four_c + 2) // 4, (four_c - 2) // 4]
+    return [(four_c + 2) // 4]
+
+
+def _optimal_labels(n: int):
+    """(m, specs) with m = n // 4 and one spec per optimal partner f of the
+    first dual ray: (f, per-sum lists of optimal state labels, in the order
+    of _PAIR_TUPLES).
+
+    Positions count in vertex labels: ray k sits at p_k = k - 1/2 on even n
+    (e_k points between s_{k-1} and s_k) and at p_k = k on odd n (g_k peaks
+    at s_k).  The partners are the integers nearest 1 + n/4, and on 8 | n
+    also m and m + 2.  Sum j peaks at c_j = (p_1 + p_f)/2 + j n/4, so its
+    states are the labels nearest c_j.  On even n this holds by symmetry
+    (u - e_k = e_{k+n/2}); on odd n it is checked against the argmax of
+    each sum and the optimal partners, not proven.
+    """
     m = n // 4
-    odd = m % 2 == 1
-    if n % 4 == 0 and odd:
-        specs = [
-            (m + 1, [[(m + 1) // 2], [(3 * m + 1) // 2], [(5 * m + 1) // 2], [(7 * m + 1) // 2]]),
-        ]
-    elif n % 4 == 0:
-        specs = [
-            (m, [[m // 2], [3 * m // 2], [5 * m // 2], [7 * m // 2]]),
-            (
-                m + 1,
-                [
-                    [(m + 2) // 2, m // 2],
-                    [(3 * m + 2) // 2, 3 * m // 2],
-                    [(5 * m + 2) // 2, 5 * m // 2],
-                    [(7 * m + 2) // 2, 7 * m // 2],
-                ],
-            ),
-            (m + 2, [[m // 2 + 1], [3 * m // 2 + 1], [5 * m // 2 + 1], [7 * m // 2 + 1]]),
-        ]
-    elif n % 4 == 2 and odd:
-        specs = [
-            (
-                m + 1,
-                [
-                    [(m + 1) // 2],
-                    [(3 * m + 1) // 2 + 1, (3 * m - 1) // 2 + 1],
-                    [(5 * m + 1) // 2 + 1],
-                    [(7 * m + 1) // 2 + 2, (7 * m - 1) // 2 + 2],
-                ],
-            ),
-            (
-                m + 2,
-                [
-                    [(m + 1) // 2 + 1, (m - 1) // 2 + 1],
-                    [(3 * m + 1) // 2 + 1],
-                    [(5 * m + 1) // 2 + 2, (5 * m - 1) // 2 + 2],
-                    [(7 * m + 1) // 2 + 2],
-                ],
-            ),
-        ]
-    elif n % 4 == 2:
-        specs = [
-            (
-                m + 1,
-                [
-                    [(m + 2) // 2, m // 2],
-                    [3 * m // 2 + 1],
-                    [(5 * m + 2) // 2 + 1, 5 * m // 2 + 1],
-                    [7 * m // 2 + 2],
-                ],
-            ),
-            (
-                m + 2,
-                [
-                    [m // 2 + 1],
-                    [(3 * m + 2) // 2 + 1, 3 * m // 2 + 1],
-                    [5 * m // 2 + 2],
-                    [(7 * m + 2) // 2 + 2, 7 * m // 2 + 2],
-                ],
-            ),
-        ]
-    elif n % 4 == 1 and odd:
-        specs = [
-            (
-                m + 1,
-                [
-                    [(m + 1) // 2 + 1, (m - 1) // 2 + 1],
-                    [(3 * m + 1) // 2 + 1],
-                    [(5 * m + 1) // 2 + 1],
-                    [(7 * m + 1) // 2 + 1],
-                ],
-            ),
-        ]
-    elif n % 4 == 1:
-        specs = [
-            (
-                m + 1,
-                [
-                    [m // 2 + 1],
-                    [3 * m // 2 + 1],
-                    [(5 * m + 2) // 2 + 1, 5 * m // 2 + 1],
-                    [7 * m // 2 + 2],
-                ],
-            ),
-        ]
-    elif odd:
-        specs = [
-            (
-                m + 2,
-                [
-                    [(m + 1) // 2 + 1],
-                    [(3 * m + 1) // 2 + 2],
-                    [(5 * m + 1) // 2 + 3, (5 * m - 1) // 2 + 3],
-                    [(7 * m + 1) // 2 + 3],
-                ],
-            ),
-        ]
-    else:
-        specs = [
-            (
-                m + 2,
-                [
-                    [(m + 2) // 2 + 1, m // 2 + 1],
-                    [3 * m // 2 + 2],
-                    [5 * m // 2 + 3],
-                    [7 * m // 2 + 4],
-                ],
-            ),
-        ]
-    return m, specs
+    partners = [m, m + 1, m + 2] if n % 8 == 0 else sorted(_nearest(n + 4))
+    # 4 c_j = 2 p_1 + 2 p_f + j n, and 2 p_k = 2 k - 1 + n % 2
+    return m, [(f, [_nearest(2 * (f + n % 2) + j * n) for j in range(4)]) for f in partners]
 
 
 @dataclass(frozen=True)
@@ -354,33 +268,27 @@ class TableReport:
 
 
 def verify_table(n: int) -> TableReport:
-    """Replay the tabulated optimal effects and states against the closed form.
+    """Replay the optimal effects and states from _optimal_labels against the closed form.
 
     Every combination of the listed candidate states is evaluated with a
-    fixed-encoding RAT; labels above n wrap around.  Every label is an
-    integer: each branch of the table fixes the parity of m = n // 4, so each
-    halved numerator is even.  Every label is at least 1 once n >= 4, and
-    polygon_state raises on one that is not.
+    fixed-encoding RAT; labels above n wrap around.  The labels come from
+    integer arithmetic and are at least 1 once n >= 4; polygon_state raises
+    on one that is not.
     """
-    if n < 4:
-        raise InputError("tables start at n = 4")
+    n = _require_order(n, "tables")
     theory = polygon(n)
     expected = polygon_rat_closed_form(n)
-    m, specs = _table_entries(n)
-    family = "e" if n % 2 == 0 else "g"
+    m, specs = _optimal_labels(n)
     m_first = dichotomic_measurement(theory, polygon_ray(theory, 1))
     variants: list[TableVariant] = []
     for f_index, columns in specs:
-        f_label = f"{family}_{f_index}"
+        f_label = polygon_effect_label(theory, f_index - 1)  # e_f or g_f: f <= n
         m_second = dichotomic_measurement(theory, polygon_ray(theory, f_index))
         for combo in product(*columns):
             encoding = {labels: polygon_state(theory, j) for labels, j in zip(_PAIR_TUPLES, combo)}
             value = rat_success_given_states([m_first, m_second], encoding)
-            ok = abs(value - expected) <= 1e-9
-            variants.append(TableVariant(f_label, tuple(combo), value, ok))
-    return TableReport(
-        n=n, m=m, parity=parity_class(n), expected=expected, variants=tuple(variants)
-    )
+            variants.append(TableVariant(f_label, tuple(combo), value, abs(value - expected) <= 1e-9))
+    return TableReport(n=n, m=m, parity=parity_class(n), expected=expected, variants=tuple(variants))
 
 
 @dataclass(frozen=True)
@@ -395,6 +303,7 @@ class SweepRow:
 
 def sweep(n_min: int, n_max: int) -> list[SweepRow]:
     """Closed form, brute force, compatible maximum, and storability per n."""
+    n_min, n_max = require_int(n_min, "n_min"), require_int(n_max, "n_max")
     if not 4 <= n_min <= n_max <= 60:
         raise InputError("sweep range must satisfy 4 <= n_min <= n_max <= 60")
     rows = []

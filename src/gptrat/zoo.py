@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import Ball, Polytope, Theory, require_polytope
+from .core import Ball, Polytope, Theory, require_int, require_polytope
 from .errors import InputError
 
 
@@ -34,6 +34,7 @@ class PolygonSpec:
 
     @classmethod
     def of(cls, n: int) -> "PolygonSpec":
+        n = require_int(n, "polygon order")
         if n < 3:
             raise InputError("polygon needs at least 3 vertices")
         return cls(n=n, radius=math.sqrt(1.0 / math.cos(math.pi / n)))
@@ -87,7 +88,7 @@ def polygon_effect_label(theory: Theory, index: int) -> str:
 
 def simplex(d: int) -> Theory:
     """Classical theory with d perfectly distinguishable extreme states."""
-    if d < 2:
+    if require_int(d, "simplex dimension") < 2:
         raise InputError("simplex needs at least 2 states")
     eye = np.eye(d)
     backend = Polytope(eye, dual_rays=eye)
@@ -96,7 +97,7 @@ def simplex(d: int) -> Theory:
 
 def hypercube(k: int) -> Theory:
     """Hypercube state space {-1, 1}^k embedded at unit height."""
-    if not 2 <= k <= 4:
+    if not 2 <= require_int(k, "hypercube dimension") <= 4:
         raise InputError("hypercube supported for 2 <= k <= 4")
     corners = np.array(list(product((-1.0, 1.0), repeat=k)))
     states = np.hstack([corners, np.ones((corners.shape[0], 1))])
@@ -133,13 +134,14 @@ def qubit2() -> Theory:
 
 def qubit2_state(bloch) -> np.ndarray:
     v = np.asarray(bloch, dtype=float)
-    if v.shape != (3,) or np.linalg.norm(v) > 1.0 + 1e-12:
+    if v.shape != (3,) or not np.linalg.norm(v) <= 1.0 + 1e-12:  # NaN fails it
         raise InputError("Bloch vector must lie in the unit ball")
     return np.append(v, 1.0)
 
 
 def qubit2_effect(bloch, weight: float) -> np.ndarray:
-    """Effect with coordinates (weight * bloch, weight) for 0 <= weight <= 1."""
+    """Effect (weight * bloch, weight); for bloch in the unit ball it is valid
+    iff 0 <= weight and weight * (1 + |bloch|) <= 1."""
     v = np.asarray(bloch, dtype=float)
     if v.shape != (3,):
         raise InputError("Bloch vector must have 3 components")

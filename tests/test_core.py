@@ -588,6 +588,7 @@ MALFORMED_INPUTS = [
     (lambda: Measurement(("a", "b"), np.ones((3, 3))), "number of outcome labels"),
     (lambda: norm_with_argmax(np.ones(2), _SQUARE), "effect dimension mismatch"),
     (lambda: is_valid_effect(np.ones(2), _SQUARE), "effect dimension mismatch"),
+    (lambda: dichotomic_measurement(_SQUARE, np.ones(2)), "effect dimension mismatch"),
     (lambda: is_valid_measurement(Measurement(("a",), np.ones((1, 2))), _SQUARE), "measurement dimension mismatch"),
     (lambda: post_process(_SQUARE_M, np.eye(2), outcomes=("a",)), "outcome labels do not match"),
     (lambda: mix([], []), "need one weight per measurement"),

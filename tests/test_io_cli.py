@@ -211,6 +211,15 @@ def test_cli_verify_table(capsys):
     assert all(" MISMATCH" not in line for line in out)
 
 
+def test_cli_verify_table_prints_the_readme_example(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = readme.index("$ gptrat polygon 9 verify-table") + 1
+    expected = readme[start : readme.index("", start)]
+    assert len(expected) == 4
+    assert main(["polygon", "9", "verify-table"]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_cli_rat_json(tmp_path, capsys):
     _, theory_path, m1_path, m2_path = _square_files(tmp_path)
     code = main(

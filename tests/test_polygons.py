@@ -7,6 +7,7 @@ from gptrat import InputError, dichotomic_measurement, rat_success, rat_success_
 from gptrat.polygons import (
     DISC_GRID,
     _disc_pair_value,
+    _optimal_labels,
     brute_force_rat_max,
     odd_polygon_compatible_pair,
     parity_class,
@@ -16,7 +17,7 @@ from gptrat.polygons import (
     sweep,
     verify_table,
 )
-from gptrat.zoo import hypercube, polygon, rebit
+from gptrat.zoo import hypercube, polygon, polygon_ray, rebit, simplex
 
 SQRT2 = math.sqrt(2.0)
 
@@ -195,6 +196,12 @@ def test_odd_construction_rejects_even_polygons():
         odd_polygon_compatible_pair(polygon(6))
 
 
+def test_odd_construction_rejects_a_parent_that_is_not_a_measurement():
+    # simplex(5) has five vertices, but its "parent" sums to (1, 0, r2/2, r2/2, 0)
+    with pytest.raises(InputError, match="^not a valid measurement on this theory"):
+        odd_polygon_compatible_pair(simplex(5))
+
+
 # ------------------------------------------------------------------- tables
 
 
@@ -210,6 +217,37 @@ def test_verify_table_all_variants(n):
 def test_verify_table_expected_is_the_closed_form():
     for n in (4, 5, 6, 7):
         assert verify_table(n).expected == polygon_rat_closed_form(n)
+
+
+@pytest.mark.parametrize("n", range(4, 201))
+def test_optimal_labels_are_the_argmax_vertices(n):
+    # oracle: each effect sum evaluated on every vertex, ties kept within 1e-9
+    t = polygon(n)
+    e, u = polygon_ray(t, 1), t.unit
+    m, specs = _optimal_labels(n)
+    assert m == n // 4
+    for f_index, columns in specs:
+        f = polygon_ray(t, f_index)
+        sums = (e + f, u - e + f, 2.0 * u - e - f, u + e - f)  # the (+,+), (-,+), (-,-), (+,-) sums
+        for g, labels in zip(sums, columns):
+            values = t.vertices @ g
+            argmax = set(np.flatnonzero(values >= values.max() - 1e-9).tolist())
+            assert len(labels) == len(argmax)
+            assert {(j - 1) % n for j in labels} == argmax
+
+
+@pytest.mark.parametrize("n", range(4, 121))
+def test_optimal_partners_are_the_best_second_rays(n):
+    # oracle: rat_success of (ray 1, ray k) for every k up to the half turn
+    t = polygon(n)
+    first = dichotomic_measurement(t, polygon_ray(t, 1))
+    best = polygon_rat_closed_form(n)
+    optimal = [
+        k
+        for k in range(2, n // 2 + 2)
+        if abs(rat_success([first, dichotomic_measurement(t, polygon_ray(t, k))], t).p_bar - best) <= 1e-9
+    ]
+    assert [f for f, _ in _optimal_labels(n)[1]] == optimal
 
 
 # -------------------------------------------------------------------- sweep
@@ -244,9 +282,35 @@ def test_sweep_range_validation():
         (lambda: polygon_compatible_max(3), "compatible maxima start at n = 4"),
         (lambda: brute_force_rat_max(hypercube(2)), "theory does not carry a finite extreme effect list"),
         (lambda: verify_table(3), "tables start at n = 4"),
+        (lambda: parity_class(4.5), "polygon order must be an integer"),
+        (lambda: polygon_rat_closed_form(4.5), "polygon order must be an integer"),
+        (lambda: polygon_rat_upper_bound(8.0), "polygon order must be an integer"),
+        (lambda: polygon_compatible_max(True), "polygon order must be an integer"),
+        (lambda: verify_table(8.0), "polygon order must be an integer"),
+        (lambda: sweep(4, 5.5), "n_max must be an integer"),
+        (lambda: sweep("4", 5), "n_min must be an integer"),
     ],
-    ids=["upper-bound", "compatible-max", "no-effect-list", "verify-table"],
+    ids=[
+        "upper-bound",
+        "compatible-max",
+        "no-effect-list",
+        "verify-table",
+        "parity-float",
+        "closed-form-float",
+        "upper-bound-float",
+        "compatible-max-bool",
+        "verify-table-float",
+        "sweep-max-float",
+        "sweep-min-str",
+    ],
 )
 def test_polygon_functions_reject_out_of_range_input(call, message):
     with pytest.raises(InputError, match=f"^{message}"):
         call()
+
+
+def test_polygon_functions_accept_numpy_integers():
+    assert parity_class(np.int32(9)) == "4m+1"
+    assert polygon_rat_closed_form(np.int64(7)) == polygon_rat_closed_form(7)
+    assert verify_table(np.int64(8)) == verify_table(8)
+    assert sweep(np.int64(4), np.uint8(5)) == sweep(4, 5)

@@ -198,6 +198,29 @@ def test_hypercube_rejects_bad_sizes():
         hypercube(5)
 
 
+@pytest.mark.parametrize("bloch", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]], ids=["nan", "inf"])
+def test_qubit_state_rejects_non_finite_bloch_vectors(bloch):
+    with pytest.raises(InputError, match="Bloch vector must lie in the unit ball"):
+        qubit2_state(bloch)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: polygon(5.5), lambda: polygon(True), lambda: hypercube(3.0), lambda: simplex(3.0), lambda: simplex(None)],
+    ids=["polygon", "polygon-bool", "hypercube", "simplex", "simplex-none"],
+)
+def test_stock_theories_reject_non_integer_sizes(call):
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
+
+
+def test_stock_theories_accept_numpy_integers():
+    for make, size in ((polygon, 5), (hypercube, 3), (simplex, 3)):
+        t = make(np.int64(size))
+        assert t.name == make(size).name
+        np.testing.assert_array_equal(t.vertices, make(size).vertices)
+
+
 def test_rebit_states_and_effects():
     t = rebit()
     validate_theory(t)
