@@ -196,7 +196,7 @@ class Ball:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
+        if require_int(self.dim, "ball dimension") not in (2, 3):
             raise InputError("ball backends are the disc (dim 2) and the Bloch ball (dim 3)")
 
     def norm_with_argmax(self, f: EffectVec) -> tuple[float, np.ndarray]:
@@ -245,7 +245,7 @@ class Theory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unit", _frozen(self.unit))
-        if self.unit.shape != (self.ambient_dim,):
+        if self.unit.shape != (require_int(self.ambient_dim, "ambient_dim"),):
             raise InputError("unit functional has the wrong dimension")
 
     @cached_property
@@ -488,6 +488,8 @@ def mix(measurements, weights) -> Measurement:
     for m in ms[1:]:
         if m.outcomes != outcomes:
             raise InputError("mixture requires identical outcome sets")
+        if m.effects.shape != ms[0].effects.shape:
+            raise InputError("measurements live in different ambient spaces")
     effects = sum(wi * m.effects for wi, m in zip(w, ms))
     return Measurement(outcomes, effects)
 

@@ -43,16 +43,18 @@ _BATCH = 2048
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x  subject to  eq_matrix @ x = eq_rhs, x[nonneg] >= 0.
+    """maximize objective . x  subject to  eq_matrix @ x = eq_rhs, x >= 0.
 
-    Variables with nonneg False are free.  By default every variable is
-    sign-constrained.
+    Every variable is sign-constrained: the package's LPs are all cones in
+    nonnegative coefficients.
     """
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    nonneg: np.ndarray | None = None
+    # not a field: perfbench/tracer.py reads it to count tableau cells; the
+    # attribute goes when that read does
+    nonneg = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=float)
@@ -67,15 +69,9 @@ class LpProblem:
             raise InputError(f"eq_rhs has length {b.shape}, expected ({m},)")
         if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise InputError("LP data must be finite")
-        nn = self.nonneg
-        if nn is not None:
-            nn = np.asarray(nn, dtype=bool)
-            if nn.shape != (n,):
-                raise InputError(f"nonneg mask has shape {nn.shape}, expected ({n},)")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", A)
         object.__setattr__(self, "eq_rhs", b)
-        object.__setattr__(self, "nonneg", nn)
 
 
 def numerical_rank(svals: np.ndarray) -> int:
@@ -128,13 +124,13 @@ def _set_objective_row(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> No
     T[-1, -1] = -(c_basic @ T[:m, -1])
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, n_ext: int) -> tuple[str, int]:
+def _simplex(T: np.ndarray, basis: np.ndarray, n: int) -> tuple[str, int]:
     """Pivot T to the end of one phase; return the status and the pivot count.
-    Only the first n_ext columns may enter: artificials never re-enter."""
-    if n_ext == 0:
+    Only the first n columns may enter: artificials never re-enter."""
+    if n == 0:
         return "optimal", 0
     m = T.shape[0] - 1
-    reduced, rhs = T[-1, :n_ext], T[:m, -1]
+    reduced, rhs = T[-1, :n], T[:m, -1]
     degenerate = 0
     for pivots in range(_MAX_PIVOTS):
         # Dantzig: the largest reduced cost enters, the smallest index on a
@@ -170,15 +166,15 @@ def _simplex(T: np.ndarray, basis: np.ndarray, n_ext: int) -> tuple[str, int]:
     raise SolverError("simplex failed to terminate")
 
 
-def _drive_out(T: np.ndarray, basis: np.ndarray, n_ext: int) -> list[int]:
-    """Pivot leftover artificials (basis index >= n_ext) out of the basis
+def _drive_out(T: np.ndarray, basis: np.ndarray, n: int) -> list[int]:
+    """Pivot leftover artificials (basis index >= n) out of the basis
     after phase one, each on the entry of largest magnitude in its row, so
     an artificial left at level v moves the entering variable by at most
     v over that entry.  Return the rows whose artificial cannot be
     replaced (no entry above 1e-8): they are redundant."""
     drop = []
-    for i in np.flatnonzero(basis >= n_ext):
-        entries = np.abs(T[i, :n_ext])
+    for i in np.flatnonzero(basis >= n):
+        entries = np.abs(T[i, :n])
         if entries.max(initial=0.0) > 1e-8:
             _pivot(T, basis, i, entries.argmax())
         else:
@@ -187,96 +183,83 @@ def _drive_out(T: np.ndarray, basis: np.ndarray, n_ext: int) -> list[int]:
 
 
 def solve_lp(problem: LpProblem) -> LpResult:
-    """Solve an equality-form LP by the two-phase tableau simplex method.
+    """Solve max c . x subject to A x = b, x >= 0 by the two-phase tableau
+    simplex method.
 
-    The tableau holds the n_ext structural columns (free variables split
-    in two), then one artificial column per row, then the right-hand side;
-    only the structural columns may enter.  The eligible column with the
-    largest reduced cost enters (Dantzig's rule).  After _DEGENERATE_RUN
-    consecutive degenerate pivots, whose leaving value is within _DRIFT of
-    zero, the smallest eligible index enters (Bland's rule) for the rest of
-    that phase, which ends the degenerate cycles the largest reduced cost
-    can fall into.  In Harris's ratio test, of the rows whose step keeps
-    the other basic values above -_DRIFT, the largest pivot element leaves,
-    then the smallest basic index, so a sound row beats round-off noise;
-    only rows that tie on the ratio are sorted.  Bland's termination proof
-    then no longer holds; the _MAX_PIVOTS cap ends the search with
-    SolverError.  Phase one calls the LP infeasible when its artificials
-    sum to more than EPS times scale = max(1, |b|_inf); each artificial
-    left in the basis then leaves on the largest entry of its row, and a
-    row with no entry above 1e-8 is redundant and dropped.  The result is
-    "optimal" only if |A x - b|_inf <= EPS scale and x >= -EPS where
-    sign-constrained; otherwise SolverError, and x is never returned.
+    The tableau holds the n structural columns, then one artificial column
+    per row, then the right-hand side; only the structural columns may
+    enter.  The eligible column with the largest reduced cost enters
+    (Dantzig's rule).  After _DEGENERATE_RUN consecutive degenerate
+    pivots, whose leaving value is within _DRIFT of zero, the smallest
+    eligible index enters (Bland's rule) for the rest of that phase, which
+    ends the degenerate cycles the largest reduced cost can fall into.  In
+    Harris's ratio test, of the rows whose step keeps the other basic
+    values above -_DRIFT, the largest pivot element leaves, then the
+    smallest basic index, so a sound row beats round-off noise; only rows
+    that tie on the ratio are sorted.  Bland's termination proof then no
+    longer holds; the _MAX_PIVOTS cap ends the search with SolverError.
+    Phase one calls the LP infeasible when its artificials sum to more than
+    EPS times scale = max(1, |b|_inf); each artificial left in the basis
+    then leaves on the largest entry of its row, and a row with no entry
+    above 1e-8 is redundant and dropped.  The result is "optimal" only if
+    |A x - b|_inf <= EPS scale and x >= -EPS; otherwise SolverError, and x
+    is never returned.
     """
-    c0 = problem.objective
-    A0 = problem.eq_matrix
-    b0 = problem.eq_rhs
-    m, n = A0.shape
-    nonneg = problem.nonneg if problem.nonneg is not None else np.ones(n, dtype=bool)
-
-    # split free variables x = x+ - x-
-    free_idx = np.nonzero(~nonneg)[0]
-    if free_idx.size:
-        A_ext = np.hstack([A0, -A0[:, free_idx]])
-        c_ext = np.concatenate([c0, -c0[free_idx]])
-    else:
-        A_ext = A0
-        c_ext = c0
-    n_ext = A_ext.shape[1]
+    c = problem.objective
+    A = problem.eq_matrix
+    b = problem.eq_rhs
+    m, n = A.shape
 
     # orient rows so the right-hand side is nonnegative
-    row_sign = np.where(b0 < 0, -1.0, 1.0)
-    width = n_ext + m + 1
+    row_sign = np.where(b < 0, -1.0, 1.0)
+    width = n + m + 1
     T = np.zeros((m + 1, width))
-    T[:m, :n_ext] = A_ext * row_sign[:, None]
-    T[:m, n_ext : n_ext + m] = np.eye(m)
-    T[:m, -1] = b0 * row_sign
-    basis = np.arange(n_ext, n_ext + m)
+    T[:m, :n] = A * row_sign[:, None]
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b * row_sign
+    basis = np.arange(n, n + m)
 
     # phase one: maximize minus the sum of artificials
     cost1 = np.zeros(width - 1)
-    cost1[n_ext:] = -1.0
+    cost1[n:] = -1.0
     _set_objective_row(T, basis, cost1)
-    _, pivots = _simplex(T, basis, n_ext)
+    _, pivots = _simplex(T, basis, n)
     # phase one decides at the tolerance of the residual check below
-    scale = max(1.0, np.abs(b0).max(initial=0.0))
+    scale = max(1.0, np.abs(b).max(initial=0.0))
     if -T[-1, -1] < -EPS * scale:
         return LpResult("infeasible", float("nan"), None, None, pivots, float("nan"))
 
-    drop = _drive_out(T, basis, n_ext)
+    drop = _drive_out(T, basis, n)
     if drop:
         T = np.delete(T, drop, axis=0)
         basis = np.delete(basis, drop)
 
     # phase two with the real objective
     cost2 = np.zeros(width - 1)
-    cost2[:n_ext] = c_ext
+    cost2[:n] = c
     _set_objective_row(T, basis, cost2)
-    status, phase_two = _simplex(T, basis, n_ext)
+    status, phase_two = _simplex(T, basis, n)
     pivots += phase_two
     if status == "unbounded":
         return LpResult("unbounded", float("nan"), None, None, pivots, float("nan"))
 
-    x_ext = np.zeros(n_ext)
-    structural = basis < n_ext
-    x_ext[basis[structural]] = T[:-1, -1][structural]
-    x = x_ext[:n].copy()
-    if free_idx.size:
-        x[free_idx] -= x_ext[n:]
+    x = np.zeros(n)
+    structural = basis < n
+    x[basis[structural]] = T[:-1, -1][structural]
 
     # reduced cost under artificial column i is -y_i
-    duals = -T[-1, n_ext:-1] * row_sign
+    duals = -T[-1, n:-1] * row_sign
     duals[drop] = 0.0
 
-    residual = np.abs(A0 @ x - b0).max(initial=0.0) / scale
-    lowest = x[nonneg].min(initial=0.0)
+    residual = np.abs(A @ x - b).max(initial=0.0) / scale
+    lowest = x.min(initial=0.0)
     # written so that a NaN residual or entry fails it
     if not (residual <= EPS and lowest >= -EPS):
         raise SolverError(
             "simplex ended at an infeasible point (relative residual "
             f"{residual:.3g}, most negative sign-constrained entry {lowest:.3g})"
         )
-    value = float(c0 @ x)
+    value = float(c @ x)
     return LpResult("optimal", value, x, duals, pivots, float(residual))
 
 

@@ -11,14 +11,15 @@ into six parity classes (r = sqrt(sec(pi/n)), R = sqrt(sec(pi/2n))):
     n = 4m+1            (1/4) (2 + cos(m pi / n) + R^2 sin(m pi / n))
     n = 4m+3            (1/4) (2 + cos((m+1) pi / n) + R^2 sin((m+1) pi / n))
 
-An independent brute force maximizes over all pairs of stored extreme
-effects and all vertex encodings.  The optimal effects and states follow
-one rule in every class: the partner of the first dual ray sits about a
-quarter turn away, and each state is the vertex nearest the direction of
-its effect sum; verify_table replays them.  Compatible pairs can reach 3/4
-on even polygons and (1/2)(1 + (1 + r^2)/4) on odd ones, where the
-odd-polygon value is achieved by two relabelings of one three-outcome
-parent measurement.
+An independent brute force maximizes over all vertex encodings and all
+pairs of stored extreme effects whose first is the effect with index 0, a
+pin that is exact under the stock polygons' transitive symmetry.  The
+optimal effects and states follow one rule in every class: the partner of
+the first dual ray sits about a quarter turn away, and each state is the
+vertex nearest the direction of its effect sum; verify_table replays them.
+Compatible pairs can reach 3/4 on even polygons and (1/2)(1 + (1 + r^2)/4)
+on odd ones, where the odd-polygon value is achieved by two relabelings of
+one three-outcome parent measurement.
 """
 
 from __future__ import annotations

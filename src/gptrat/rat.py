@@ -20,7 +20,15 @@ from math import prod
 
 import numpy as np
 
-from .core import Measurement, Theory, harmonic_mean, norm_with_argmax, outcome_tuples, require_valid_measurements
+from .core import (
+    Measurement,
+    Theory,
+    harmonic_mean,
+    norm_with_argmax,
+    outcome_tuples,
+    require_int,
+    require_valid_measurements,
+)
 from .errors import InputError
 from .jointness import harmonic_joint
 from .storability import decoding_power, information_storability
@@ -89,7 +97,7 @@ def connection_check(measurements, theory: Theory) -> tuple[float, float, float]
 
 def compatible_bound(m1_outcomes: int, m2_outcomes: int, storability: float) -> float:
     """Upper bound on the pair RAT success of any compatible pair."""
-    if m1_outcomes < 2 or m2_outcomes < 2:
+    if require_int(m1_outcomes, "outcome count") < 2 or require_int(m2_outcomes, "outcome count") < 2:
         raise InputError("outcome counts must be at least 2")
     if not storability >= 1.0 - EPS:  # NaN fails it
         raise InputError("information storability is at least 1")
@@ -125,7 +133,7 @@ def classical_rac_value(n: int, d: int) -> tuple[float, float | None]:
     optimum is known for n = 2, where the classical strategy is optimal;
     for n >= 3 it is open and None is returned.
     """
-    if n < 1 or d < 2:
+    if require_int(n, "n") < 1 or require_int(d, "d") < 2:
         raise InputError("need n >= 1 digits of alphabet size d >= 2")
     value = (d + n - 1) / (n * d)
     optimal = 0.5 * (1.0 + 1.0 / d) if n == 2 else None

@@ -15,6 +15,7 @@ from .core import (
     harmonic_mean,
     operational_dimension,
     order_unit_norm,
+    require_int,
     require_valid_measurements,
 )
 from .errors import InputError
@@ -44,7 +45,7 @@ def restricted_storability(measurements, theory: Theory) -> float:
 def ntomic_bound(n: int, outcome_counts) -> float:
     """n over the harmonic mean of the outcome counts."""
     counts = list(outcome_counts)
-    if n < 1:
+    if require_int(n, "n") < 1:
         raise InputError("need n >= 1 decoding targets")
     harmonic = harmonic_mean(counts)
     if min(counts) < 2:

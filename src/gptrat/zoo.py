@@ -65,7 +65,7 @@ def polygon_order(theory: Theory) -> int:
 def polygon_state(theory: Theory, j: int) -> np.ndarray:
     """Extreme state s_j, 1-based; labels above n wrap around."""
     n = polygon_order(theory)
-    if j < 1:
+    if require_int(j, "state label") < 1:
         raise InputError(f"state label {j} out of range")
     return theory.backend.extreme_states[(j - 1) % n]
 
@@ -73,7 +73,7 @@ def polygon_state(theory: Theory, j: int) -> np.ndarray:
 def polygon_ray(theory: Theory, k: int) -> np.ndarray:
     """Dual ray number k, 1-based with wrap-around: e_k (even n) or g_k (odd n)."""
     n = polygon_order(theory)
-    if k < 1:
+    if require_int(k, "effect label") < 1:
         raise InputError(f"effect label {k} out of range")
     return theory.backend.dual_rays[(k - 1) % n]
 

@@ -15,6 +15,7 @@ from gptrat import (
     Polytope,
     Theory,
     UnsupportedBackendError,
+    classical_rac_value,
     compatible_bound,
     dichotomic_measurement,
     distinguishable,
@@ -25,6 +26,7 @@ from gptrat import (
     is_valid_measurement,
     mix,
     norm_with_argmax,
+    ntomic_bound,
     operational_dimension,
     order_unit_norm,
     post_process,
@@ -255,6 +257,9 @@ def test_mix_weights_and_outcomes():
         mix([m, n], [0.5, 0.6])
     with pytest.raises(InputError):
         mix([m, trivial_measurement(t, [0.5, 0.5])], [0.5, 0.5])  # labels differ
+    wide = Measurement(m.outcomes, np.hstack([m.effects, np.zeros((2, 1))]))
+    with pytest.raises(InputError, match="different ambient spaces"):
+        mix([m, wide], [0.5, 0.5])  # same labels, effects of width 3 and 4
 
 
 @pytest.mark.parametrize(
@@ -268,6 +273,23 @@ def test_zero_outcome_measurement_is_rejected(call):
     t = polygon(4)
     with pytest.raises(InputError, match="a measurement needs at least one outcome"):
         call(dichotomic_measurement(t, polygon_ray(t, 1)), Measurement((), np.zeros((0, 3))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Theory("x", 3.0, [0.0, 0.0, 1.0], Ball(2)),
+        lambda: Ball(2.0),
+        lambda: compatible_bound(2.5, 2, 2.0),
+        lambda: classical_rac_value(True, 2),
+        lambda: ntomic_bound(1.5, [2, 2]),
+    ],
+    ids=["theory-dim", "ball-dim", "compatible_bound", "classical_rac_value", "ntomic_bound"],
+)
+def test_integer_arguments_must_be_integers(call):
+    # each was once accepted, or failed later with a bare numpy TypeError
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
 
 
 @pytest.mark.parametrize(

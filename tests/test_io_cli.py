@@ -431,7 +431,7 @@ def test_file_subcommands_give_one_verdict_on_one_file(tmp_path, capsys):
 )
 def test_non_finite_theory_numbers_are_parse_errors(field, index, bad, tmp_path):
     _, theory_path, m1_path, m2_path = _square_files(tmp_path)
-    payload = json.loads(open(theory_path).read())
+    payload = json.loads(Path(theory_path).read_text())
     target = payload[field]
     for i in index[:-1]:
         target = target[i]

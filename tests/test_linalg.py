@@ -15,18 +15,28 @@ from gptrat.zoo import hypercube, polygon, simplex
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _scipy_solve(problem: LpProblem):
-    """Independent reference: scipy HiGHS on the same maximization problem."""
-    n = problem.objective.shape[0]
-    nonneg = problem.nonneg if problem.nonneg is not None else np.ones(n, dtype=bool)
-    bounds = [(0, None) if nonneg[j] else (None, None) for j in range(n)]
-    res = linprog(
-        -problem.objective,
-        A_eq=problem.eq_matrix,
-        b_eq=problem.eq_rhs,
-        bounds=bounds,
-        method="highs",
-    )
+def _split_free(c, A, b, nonneg) -> LpProblem:
+    """The LP in which x_j is free wherever nonneg[j] is False, in the
+    sign-constrained form solve_lp takes: x_j = x_j+ - x_j-, with the
+    negated column and cost of each free x_j appended after the n original
+    columns."""
+    free = np.flatnonzero(np.logical_not(nonneg))
+    return LpProblem(np.concatenate([c, -c[free]]), np.hstack([A, -A[:, free]]), b)
+
+
+def _fold(x: np.ndarray, nonneg) -> np.ndarray:
+    """x+ - x-: the point in the original variables of a _split_free solution."""
+    n = len(nonneg)
+    out = x[:n].copy()
+    out[np.flatnonzero(np.logical_not(nonneg))] -= x[n:]
+    return out
+
+
+def _scipy_solve(c, A, b, nonneg):
+    """Independent reference: scipy HiGHS on the same maximization problem,
+    with free bounds where nonneg is False."""
+    bounds = [(0, None) if s else (None, None) for s in nonneg]
+    res = linprog(-c, A_eq=A, b_eq=b, bounds=bounds, method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "other")
     value = -res.fun if res.status == 0 else None
     return status, value
@@ -66,7 +76,6 @@ def test_unbounded_detected():
         objective=np.array([1.0, 0.0]),
         eq_matrix=np.array([[1.0, -1.0]]),
         eq_rhs=np.array([0.0]),
-        nonneg=np.array([True, True]),
     )
     assert solve_lp(problem).status == "unbounded"
 
@@ -107,11 +116,11 @@ def test_lp_without_columns():
 def test_lp_without_rows(objective, nonneg, status):
     # x = 0 is feasible; a positive cost on a sign-constrained variable, or
     # any nonzero cost on a free one, is unbounded
-    nonneg = None if nonneg is None else np.array(nonneg)
-    res = solve_lp(LpProblem(np.array(objective), np.zeros((0, 2)), np.zeros(0), nonneg))
+    nonneg = [True, True] if nonneg is None else nonneg
+    res = solve_lp(_split_free(np.array(objective), np.zeros((0, 2)), np.zeros(0), nonneg))
     assert (res.status, res.pivots) == (status, 0)
     if status == "optimal":
-        assert res.value == 0.0 and res.solution.tolist() == [0.0, 0.0]
+        assert res.value == 0.0 and _fold(res.solution, nonneg).tolist() == [0.0, 0.0]
         assert res.duals.shape == (0,) and res.residual == 0.0
     else:
         assert res.solution is None and np.isnan(res.residual)
@@ -150,13 +159,14 @@ def test_nan_residual_fails_the_final_check():
 
 
 def _overflowing_draw(rng: np.random.Generator):
-    """One random LP with entries up to 1e300, some zero, some free variables."""
+    """One random LP with entries up to 1e300, some zero, some free
+    variables (split by _split_free)."""
     m, n = int(rng.integers(0, 5)), int(rng.integers(0, 6))
     A = rng.normal(size=(m, n)) * 10.0 ** rng.choice([0, 150, 300, -300], (m, n))
     A[rng.random((m, n)) < 0.3] = 0
     b = rng.normal(size=m) * 10.0 ** rng.choice([0, 300], m)
     c = rng.normal(size=n) * 10.0 ** rng.choice([0, 300], n)
-    return LpProblem(c, A, b, rng.random(n) >= 0.2)
+    return _split_free(c, A, b, rng.random(n) >= 0.2)
 
 
 def test_nan_ratio_raises_solver_error():
@@ -258,15 +268,14 @@ def test_random_problems_match_scipy():
         else:
             b = rng.normal(size=m)
         c = rng.normal(size=n)
-        problem = LpProblem(objective=c, eq_matrix=A, eq_rhs=b, nonneg=nonneg)
-        res = solve_lp(problem)
-        ref_status, ref_value = _scipy_solve(problem)
+        res = solve_lp(_split_free(c, A, b, nonneg))
+        ref_status, ref_value = _scipy_solve(c, A, b, nonneg)
         if ref_status == "other":
             continue
         assert res.status == ref_status, f"trial {trial}: {res.status} vs {ref_status}"
         if ref_status == "optimal":
             np.testing.assert_allclose(res.value, ref_value, rtol=1e-7, atol=1e-7)
-            np.testing.assert_allclose(A @ res.solution, b, atol=1e-7)
+            np.testing.assert_allclose(A @ _fold(res.solution, nonneg), b, atol=1e-7)
             n_checked += 1
     assert n_checked >= 10
 
@@ -370,11 +379,10 @@ def test_degenerate_vertex_set_rejected():
     "call, message",
     [
         (lambda: LpProblem(np.ones(2), np.ones(2), np.ones(1)), "eq_matrix must be two-dimensional"),
-        (lambda: LpProblem(np.ones(2), np.ones((1, 2)), np.ones(1), nonneg=[True]), "nonneg mask has shape"),
         (lambda: enumerate_facets([[0.0, 0.0], [np.nan, 1.0]]), "vertices must be finite"),
         (lambda: enumerate_facets([[1.0, 2.0], [1.0, 2.0]]), "degenerate vertex set"),
     ],
-    ids=["matrix-1d", "mask-length", "vertex-nan", "coincident-vertices"],
+    ids=["matrix-1d", "vertex-nan", "coincident-vertices"],
 )
 def test_malformed_lp_and_vertex_inputs(call, message):
     with pytest.raises(InputError, match=f"^{message}"):

@@ -146,6 +146,16 @@ def test_polygon_indexing_wraps_and_validates():
         polygon_ray(t, -1)
 
 
+@pytest.mark.parametrize("label", [1.5, 2.0, True, "1"], ids=["half", "float", "bool", "str"])
+@pytest.mark.parametrize("lookup", [polygon_state, polygon_ray], ids=["state", "ray"])
+def test_polygon_labels_must_be_integers(lookup, label):
+    t = polygon(5)
+    with pytest.raises(InputError, match="label must be an integer"):
+        lookup(t, label)
+    # numpy integers are labels like any other
+    np.testing.assert_array_equal(lookup(t, np.int64(2)), lookup(t, 2))
+
+
 def test_polygon_effect_labels():
     even = polygon(4)
     assert polygon_effect_label(even, 0) == "e_1"
